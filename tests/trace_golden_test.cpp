@@ -5,11 +5,18 @@
 // routing order, forwarding policy, adaptation timing, or Rng consumption
 // shows up here as a readable JSONL diff instead of a silent metric shift.
 //
+// The link goldens (tests/golden/link_*.jsonl) add one ERT/AF run per
+// substrate with churn on and the link and churn categories recorded:
+// every elastic inlink adopted or shed by construction, Algorithm 3 and
+// join-time expansion, in order, next to the joins and departures that
+// drive repair and purge.
+//
 // To regenerate after an intentional behavior change:
 //   ERT_REGEN_GOLDEN=1 ./trace_golden_test
 // then review the diff of tests/golden/*.jsonl like any other code change.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -58,6 +65,37 @@ std::string golden_path(const GoldenCase& c) {
   return std::string(ERT_GOLDEN_DIR) + "/" + name + slug(proto) + ".jsonl";
 }
 
+void regenerate(const std::string& got, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(out) << "cannot write " << path;
+  out << got;
+}
+
+/// Byte comparison against a checked-in golden file, reporting the first
+/// differing line rather than dumping both streams.
+void expect_matches_file(const std::string& got, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << path
+                  << " (run with ERT_REGEN_GOLDEN=1 to create it)";
+  std::ostringstream want;
+  want << in.rdbuf();
+  const std::string want_str = want.str();
+  EXPECT_EQ(got.size(), want_str.size());
+  if (got != want_str) {
+    std::istringstream ga(got), wa(want_str);
+    std::string gl, wl;
+    std::size_t lineno = 0;
+    while (true) {
+      const bool gok = static_cast<bool>(std::getline(ga, gl));
+      const bool wok = static_cast<bool>(std::getline(wa, wl));
+      ++lineno;
+      if (!gok && !wok) break;
+      ASSERT_EQ(gok, wok) << "trace length differs at line " << lineno;
+      ASSERT_EQ(gl, wl) << "first divergence at line " << lineno;
+    }
+  }
+}
+
 class GoldenTraceTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTraceTest, MatchesCheckedInTrace) {
@@ -78,33 +116,11 @@ TEST_P(GoldenTraceTest, MatchesCheckedInTrace) {
 
   const std::string path = golden_path(GetParam());
   if (std::getenv("ERT_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << got;
+    regenerate(got, path);
     GTEST_SKIP() << "regenerated " << path;
   }
 
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " (run with ERT_REGEN_GOLDEN=1 to create it)";
-  std::ostringstream want;
-  want << in.rdbuf();
-  const std::string want_str = want.str();
-  EXPECT_EQ(got.size(), want_str.size());
-  if (got != want_str) {
-    // Point at the first differing line rather than dumping both streams.
-    std::istringstream ga(got), wa(want_str);
-    std::string gl, wl;
-    std::size_t lineno = 0;
-    while (true) {
-      const bool gok = static_cast<bool>(std::getline(ga, gl));
-      const bool wok = static_cast<bool>(std::getline(wa, wl));
-      ++lineno;
-      if (!gok && !wok) break;
-      ASSERT_EQ(gok, wok) << "trace length differs at line " << lineno;
-      ASSERT_EQ(gl, wl) << "first divergence at line " << lineno;
-    }
-  }
+  expect_matches_file(got, path);
 }
 
 TEST_P(GoldenTraceTest, GoldenRunIsThreadCountInvariant) {
@@ -150,6 +166,64 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return s;
     });
+
+/// The golden params with a churn interarrival that lands a few joins and
+/// departures inside the 24-lookup run.
+SimParams link_golden_params() {
+  SimParams p = golden_params();
+  p.churn_interarrival = 1.0;
+  return p;
+}
+
+ExperimentOptions link_golden_options() {
+  ExperimentOptions o;
+  o.trace.enabled = true;
+  o.trace.categories = static_cast<std::uint32_t>(trace::Category::kQuery) |
+                       static_cast<std::uint32_t>(trace::Category::kHop) |
+                       static_cast<std::uint32_t>(trace::Category::kAdapt) |
+                       static_cast<std::uint32_t>(trace::Category::kLink) |
+                       static_cast<std::uint32_t>(trace::Category::kChurn);
+  return o;
+}
+
+std::string link_golden_path(SubstrateKind kind) {
+  std::string name = to_string(kind);
+  for (auto& c : name) c = static_cast<char>(std::tolower(c));
+  return std::string(ERT_GOLDEN_DIR) + "/link_" + name + ".jsonl";
+}
+
+class LinkGoldenTest : public ::testing::TestWithParam<SubstrateKind> {};
+
+TEST_P(LinkGoldenTest, MatchesCheckedInTrace) {
+  const auto r = run_experiment(link_golden_params(), Protocol::kErtAF,
+                                GetParam(), link_golden_options());
+  ASSERT_EQ(r.trace_dropped, 0u)
+      << "golden run must fit the ring; raise o.trace.capacity";
+  ASSERT_GT(r.trace_records.size(), 0u);
+  const std::string got = trace::to_jsonl(r.trace_records);
+  const std::string path = link_golden_path(GetParam());
+  if (std::getenv("ERT_REGEN_GOLDEN") != nullptr) {
+    regenerate(got, path);
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  expect_matches_file(got, path);
+}
+
+TEST_P(LinkGoldenTest, GoldenRunIsThreadCountInvariant) {
+  const auto one = run_averaged(link_golden_params(), Protocol::kErtAF, 2,
+                                GetParam(), 1, link_golden_options());
+  const auto four = run_averaged(link_golden_params(), Protocol::kErtAF, 2,
+                                 GetParam(), 4, link_golden_options());
+  EXPECT_EQ(trace::to_jsonl(one.trace_records),
+            trace::to_jsonl(four.trace_records));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSubstrates, LinkGoldenTest,
+    ::testing::Values(SubstrateKind::kCycloid, SubstrateKind::kChord,
+                      SubstrateKind::kPastry, SubstrateKind::kCan,
+                      SubstrateKind::kKademlia, SubstrateKind::kD1ht),
+    [](const auto& info) { return std::string(to_string(info.param)); });
 
 }  // namespace
 }  // namespace ert::harness
