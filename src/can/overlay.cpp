@@ -1,10 +1,10 @@
 #include "can/overlay.h"
 
-#include "trace/trace.h"
-#include "wire/meter.h"
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "ert/elastic_links_impl.h"
 
 namespace ert::can {
 namespace {
@@ -52,7 +52,7 @@ bool zones_abut(const Zone& a, const Zone& b) {
 }
 
 Overlay::Overlay(CanOptions opts, PhysDistFn phys_dist)
-    : opts_(opts), phys_dist_(std::move(phys_dist)) {}
+    : ElasticLinks(std::move(phys_dist)), opts_(opts) {}
 
 int Overlay::leaf_containing(Point p) const {
   assert(root_ >= 0);
@@ -75,9 +75,9 @@ void Overlay::drop_adjacency(dht::NodeIndex i) {
   // Removing i from each neighbor's entry touches other blocks only (erase
   // never resizes the pool backing), so our own span stays valid; the whole
   // block is released afterwards.
-  for (const dht::NodeIndex32 j : entry.candidates(arena_.cands))
-    nodes_[j].table.entry(kAdjacencyEntry).remove(arena_.cands, i);
-  entry.release(arena_.cands);
+  for (const dht::NodeIndex32 j : entry.candidates(arena().cands))
+    nodes_[j].table.entry(kAdjacencyEntry).remove(arena().cands, i);
+  entry.release(arena().cands);
 }
 
 void Overlay::rebuild_adjacency(dht::NodeIndex i) {
@@ -85,8 +85,8 @@ void Overlay::rebuild_adjacency(dht::NodeIndex i) {
   for (dht::NodeIndex j = 0; j < nodes_.size(); ++j) {
     if (j == i || !nodes_[j].alive) continue;
     if (zones_abut(nodes_[i].zone, nodes_[j].zone)) {
-      nodes_[i].table.entry(kAdjacencyEntry).add(arena_.cands, j);
-      nodes_[j].table.entry(kAdjacencyEntry).add(arena_.cands, i);
+      nodes_[i].table.entry(kAdjacencyEntry).add(arena().cands, j);
+      nodes_[j].table.entry(kAdjacencyEntry).add(arena().cands, i);
     }
   }
 }
@@ -94,15 +94,11 @@ void Overlay::rebuild_adjacency(dht::NodeIndex i) {
 dht::NodeIndex Overlay::add_node(Rng& rng, double capacity, int max_indegree,
                                  double beta) {
   CanNode n;
-  n.alive = true;
-  n.capacity = capacity;
-  n.budget = core::IndegreeBudget(max_indegree, beta);
   n.table.add_entry(dht::EntryKind::kLeaf);     // adjacency
   n.table.add_entry(dht::EntryKind::kFinger);   // shortcuts
-  nodes_.push_back(std::move(n));
-  const dht::NodeIndex idx = nodes_.size() - 1;
+  const dht::NodeIndex idx =
+      push_node(std::move(n), capacity, max_indegree, beta);
   leaf_of_.push_back(-1);
-  ++alive_;
 
   if (root_ < 0) {
     tree_.push_back(TreeNode{Zone{}, -1, {-1, -1}, idx});
@@ -163,22 +159,10 @@ int Overlay::deepest_leaf(int t) const {
   return best;
 }
 
-void Overlay::leave_graceful(dht::NodeIndex i) {
-  CanNode& n = nodes_.at(i);
-  if (!n.alive) return;
-  // Tear down elastic links first (copies: unlinking mutates both blocks).
-  const auto sc = n.table.entry(kShortcutEntry).candidates(arena_.cands);
-  ids_scratch_.assign(sc.begin(), sc.end());
-  for (dht::NodeIndex j : ids_scratch_) unlink_shortcut(i, j);
-  const auto fs = n.inlinks.fingers(arena_.fingers);
-  evict_scratch_.assign(fs.begin(), fs.end());
-  for (const auto& f : evict_scratch_) unlink_shortcut(f.node, i);
-
+void Overlay::erase_member(dht::NodeIndex i) {
+  drop_adjacency(i);
   const int leaf = leaf_of_[i];
   if (leaf == root_) {  // last node: the space goes unowned
-    drop_adjacency(i);
-    n.alive = false;
-    --alive_;
     root_ = -1;
     tree_.clear();
     leaf_of_[i] = -1;
@@ -187,10 +171,6 @@ void Overlay::leave_graceful(dht::NodeIndex i) {
   const int parent = tree_[leaf].parent;
   const int sibling = tree_[parent].child[0] == leaf ? tree_[parent].child[1]
                                                      : tree_[parent].child[0];
-  drop_adjacency(i);
-  n.alive = false;
-  --alive_;
-
   if (tree_[sibling].is_leaf()) {
     // Merge: the sibling's owner takes the whole parent zone.
     const dht::NodeIndex s = tree_[sibling].owner;
@@ -264,7 +244,7 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, Point target,
   std::size_t best_entry = kNumEntries;
   std::pair<double, double> best{1e9, 1e9};
   for (std::size_t e = 0; e < kNumEntries; ++e) {
-    for (const dht::NodeIndex32 c : cn.table.entry(e).candidates(arena_.cands)) {
+    for (const dht::NodeIndex32 c : cn.table.entry(e).candidates(arena().cands)) {
       if (!nodes_[c].alive || !better(c)) continue;
       const auto r = rank(c);
       if (r < best) {
@@ -279,7 +259,7 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, Point target,
     // Tolerate anyway (stale state mid-churn): fall back to the adjacency
     // neighbor with the minimum rank, strictness dropped.
     for (const dht::NodeIndex32 c :
-         cn.table.entry(kAdjacencyEntry).candidates(arena_.cands))
+         cn.table.entry(kAdjacencyEntry).candidates(arena().cands))
       if (nodes_[c].alive) cands.push_back(c);
     assert(!cands.empty());
     std::sort(cands.begin(), cands.end(),
@@ -290,7 +270,7 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, Point target,
     return step;
   }
   for (const dht::NodeIndex32 c :
-       cn.table.entry(best_entry).candidates(arena_.cands))
+       cn.table.entry(best_entry).candidates(arena().cands))
     if (nodes_[c].alive && better(c)) cands.push_back(c);
   std::sort(cands.begin(), cands.end(),
             [&](dht::NodeIndex x, dht::NodeIndex y) {
@@ -300,38 +280,17 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, Point target,
   return step;
 }
 
-bool Overlay::link_shortcut(dht::NodeIndex from, dht::NodeIndex to,
-                            bool respect_budget) {
-  CanNode& f = nodes_.at(from);
-  CanNode& t = nodes_.at(to);
-  if (!f.alive || !t.alive || from == to) return false;
-  if (f.table.entry(kShortcutEntry).size() >= opts_.max_shortcuts) return false;
-  if (f.table.entry(kAdjacencyEntry).contains(arena_.cands, to))
-    return false;  // redundant
-  if (respect_budget && !t.budget.can_accept()) return false;
-  if (t.inlinks.contains(arena_.fingers, from)) return false;
-  if (!f.table.entry(kShortcutEntry).add(arena_.cands, to)) return false;
-  const double dist = net::torus_distance(f.zone.center(), t.zone.center());
-  if (!t.budget.can_accept()) t.budget.on_forced_inlink();
-  t.inlinks.add(arena_.fingers,
-                core::BackwardFinger{
-                    from, static_cast<std::uint64_t>(dist * 1e9),
-                    phys_dist_ ? phys_dist_(from, to) : dist});
-  t.budget.on_inlink_added();
-  return true;
+bool Overlay::eligible(dht::NodeIndex owner, std::size_t slot,
+                       dht::NodeIndex cand) const {
+  return slot == kShortcutEntry && owner != cand &&
+         !nodes_[owner].table.entry(kAdjacencyEntry).contains(arena().cands,
+                                                              cand);
 }
 
-bool Overlay::unlink_shortcut(dht::NodeIndex from, dht::NodeIndex to) {
-  if (!nodes_.at(from).table.entry(kShortcutEntry).remove(arena_.cands, to))
-    return false;
-  nodes_.at(to).inlinks.remove(arena_.fingers, from);
-  nodes_.at(to).budget.on_inlink_removed();
-  return true;
-}
-
-int Overlay::expand_indegree(dht::NodeIndex i, int want,
-                             std::size_t max_probes) {
-  if (want <= 0) return 0;
+void Overlay::expansion_targets_into(
+    dht::NodeIndex i, std::size_t max_targets,
+    std::vector<core::ExpansionTarget>& out) const {
+  out.clear();
   const Point me = nodes_.at(i).zone.center();
   // Hosts within the shortcut radius, nearest first.
   auto& hosts = hosts_scratch_;
@@ -342,45 +301,14 @@ int Overlay::expand_indegree(dht::NodeIndex i, int want,
     if (d <= opts_.shortcut_radius) hosts.emplace_back(d, j);
   }
   std::sort(hosts.begin(), hosts.end());
-  int gained = 0;
-  std::size_t probes = 0;
   for (const auto& [d, host] : hosts) {
-    if (gained >= want || probes >= max_probes) break;
-    ++probes;
-    if (!nodes_[i].budget.can_accept()) break;
-    if (link_shortcut(host, i, /*respect_budget=*/true)) {
-      ++gained;
-      if (trace_ && trace_->wants(trace::Category::kLink))
-        trace_->emit(trace::EventType::kLinkAdopt, i, 0,
-                     static_cast<std::int64_t>(host),
-                     static_cast<std::int64_t>(nodes_[i].inlinks.size()));
-      if (meter_)
-        meter_->on_backward_add(i, host, nodes_[i].inlinks.size());
-    }
+    if (out.size() >= max_targets) break;
+    out.emplace_back(host, kShortcutEntry);
   }
-  return gained;
 }
 
-int Overlay::shed_indegree(dht::NodeIndex i, int count) {
-  if (count <= 0) return 0;
-  nodes_.at(i).inlinks.pick_evictions(arena_.fingers,
-                                      static_cast<std::size_t>(count),
-                                      evict_scratch_, evict_out_);
-  int shed = 0;
-  for (dht::NodeIndex v : evict_out_)
-    if (unlink_shortcut(v, i)) {
-      ++shed;
-      if (trace_ && trace_->wants(trace::Category::kLink))
-        trace_->emit(trace::EventType::kLinkShed, i, 0,
-                     static_cast<std::int64_t>(v),
-                     static_cast<std::int64_t>(nodes_[i].inlinks.size()));
-      if (meter_)
-        meter_->on_backward_drop(i, v, nodes_[i].inlinks.size());
-    }
-  return shed;
-}
-
-void Overlay::check_invariants() const {
+void Overlay::check_geometry() const {
+#ifndef NDEBUG
   if (root_ < 0) return;
   double volume = 0.0;
   for (dht::NodeIndex i = 0; i < nodes_.size(); ++i) {
@@ -388,25 +316,19 @@ void Overlay::check_invariants() const {
     if (!n.alive) continue;
     volume += n.zone.volume();
     assert(leaf_of_[i] >= 0 && tree_[leaf_of_[i]].owner == i);
-    // Adjacency completeness and symmetry.
+    // Adjacency completeness (its symmetry is part of the link audit).
     for (dht::NodeIndex j = 0; j < nodes_.size(); ++j) {
       if (j == i || !nodes_[j].alive) continue;
-      const bool should = zones_abut(n.zone, nodes_[j].zone);
-      const bool has = n.table.entry(kAdjacencyEntry).contains(arena_.cands, j);
-      assert(should == has && "adjacency incomplete or stale");
-      if (has)
-        assert(nodes_[j].table.entry(kAdjacencyEntry).contains(arena_.cands,
-                                                               i) &&
-               "adjacency asymmetric");
+      assert(zones_abut(n.zone, nodes_[j].zone) ==
+                 n.table.entry(kAdjacencyEntry).contains(arena().cands, j) &&
+             "adjacency incomplete or stale");
     }
-    // Shortcut bookkeeping.
-    for (const dht::NodeIndex32 c :
-         n.table.entry(kShortcutEntry).candidates(arena_.cands)) {
-      assert(nodes_[c].inlinks.contains(arena_.fingers, i));
-    }
-    assert(static_cast<std::size_t>(n.budget.indegree()) == n.inlinks.size());
   }
   assert(std::fabs(volume - 1.0) < 1e-9 && "zones do not partition the space");
+#endif
 }
 
 }  // namespace ert::can
+
+template class ert::core::ElasticLinks<ert::can::Overlay,
+                                       ert::can::CanNode>;

@@ -20,23 +20,14 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
 #include "dht/types.h"
-#include "ert/indegree.h"
+#include "ert/elastic_links.h"
 #include "net/proximity.h"
-
-namespace ert::trace {
-class TraceSink;
-}
-
-namespace ert::wire {
-class ByteMeter;
-}
 
 namespace ert::can {
 
@@ -74,13 +65,10 @@ struct CanOptions {
   std::size_t max_shortcuts = 8;  ///< per-node outgoing shortcut cap.
 };
 
-struct CanNode {
+/// Table entries: [0] adjacency, [1] shortcuts. The budget and backward
+/// fingers cover shortcut inlinks only.
+struct CanNode : core::ElasticNode {
   Zone zone;
-  bool alive = false;
-  double capacity = 1.0;
-  dht::ElasticTable table;  ///< [0] adjacency, [1] shortcuts.
-  core::IndegreeBudget budget;  ///< counts *shortcut* inlinks.
-  core::BackwardFingerList inlinks;  ///< who shortcuts to us.
 };
 
 struct RouteStep {
@@ -89,10 +77,8 @@ struct RouteStep {
   std::vector<dht::NodeIndex> candidates;
 };
 
-class Overlay {
+class Overlay : public core::ElasticLinks<Overlay, CanNode> {
  public:
-  using PhysDistFn = std::function<double(dht::NodeIndex, dht::NodeIndex)>;
-
   explicit Overlay(CanOptions opts, PhysDistFn phys_dist = {});
 
   /// First node owns the whole space; later joins pick a random point and
@@ -100,13 +86,10 @@ class Overlay {
   dht::NodeIndex add_node(Rng& rng, double capacity, int max_indegree,
                           double beta);
 
-  /// ERT shortcut expansion: probe owners within shortcut_radius of our
-  /// center until `want` new inlinks are gained.
-  int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
-  int shed_indegree(dht::NodeIndex i, int count);
-
-  /// Classic CAN departure with zone takeover through the split tree.
-  void leave_graceful(dht::NodeIndex i);
+  /// CAN departures are announced (the zone must be taken over to keep the
+  /// space partitioned); silent-failure takeover is out of scope, so a
+  /// failure is a graceful departure and produces no timeouts.
+  void fail(dht::NodeIndex i) { leave_graceful(i); }
 
   dht::NodeIndex responsible(Point p) const;
   RouteStep route_step(dht::NodeIndex cur, Point target) const;
@@ -116,30 +99,41 @@ class Overlay {
   dht::RouteStepInfo route_step(dht::NodeIndex cur, Point target,
                                 dht::RouteScratch& scratch) const;
 
-  bool link_shortcut(dht::NodeIndex from, dht::NodeIndex to,
-                     bool respect_budget);
-  bool unlink_shortcut(dht::NodeIndex from, dht::NodeIndex to);
+  /// ERT shortcut expansion targets: owners within shortcut_radius of our
+  /// center, nearest first, as kShortcutEntry adopters.
+  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                              std::vector<core::ExpansionTarget>& out) const;
 
-  const CanNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
+  /// Shortcuts may point at any other zone that is not already adjacent.
+  bool eligible(dht::NodeIndex owner, std::size_t slot,
+                dht::NodeIndex cand) const;
 
-  /// Backing store for all pooled candidate / backward-finger sets
-  /// (dht/slab.h); every table or inlink operation threads through it.
-  core::LinkArena& arena() { return arena_; }
-  const core::LinkArena& arena() const { return arena_; }
-  std::size_t num_slots() const { return nodes_.size(); }
-  std::size_t alive_count() const { return alive_; }
-
-  /// Structural invariants: zones partition the space, adjacency symmetric
-  /// and complete, shortcut bookkeeping consistent. Assert-checked.
-  void check_invariants() const;
-
-  /// Installs a structured-trace sink for the ERT elasticity path
-  /// (link.adopt / link.shed from expand_indegree / shed_indegree); null
-  /// disables emission. Observes only. See docs/TRACING.md.
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
-  void set_meter(wire::ByteMeter* meter) { meter_ = meter; }
+  /// Torus distance between zone centres, in units of 1e-9.
+  std::uint64_t logical_distance(dht::NodeIndex a, dht::NodeIndex b) const {
+    return static_cast<std::uint64_t>(center_distance(a, b) * 1e9);
+  }
 
  private:
+  friend class core::ElasticLinks<Overlay, CanNode>;
+  /// Zone adjacency (slot 0) is mandatory symmetric structure.
+  static constexpr std::size_t kFirstElasticSlot = kShortcutEntry;
+  std::size_t slot_cap(std::size_t) const { return opts_.max_shortcuts; }
+  double center_distance(dht::NodeIndex a, dht::NodeIndex b) const {
+    return net::torus_distance(nodes_[a].zone.center(),
+                               nodes_[b].zone.center());
+  }
+  /// Without a physical metric, a shortcut's physical distance is its
+  /// zone-centre distance too.
+  core::BackwardFinger backward_finger(dht::NodeIndex from,
+                                       dht::NodeIndex to) const {
+    return {from, logical_distance(from, to),
+            phys_dist_ ? phys_dist_(from, to) : center_distance(from, to)};
+  }
+  /// Classic CAN departure with zone takeover through the split tree.
+  void erase_member(dht::NodeIndex i);
+  /// Zones partition the space and adjacency is complete.
+  void check_geometry() const;
+
   /// Split-tree bookkeeping: every leaf is an alive node's zone.
   struct TreeNode {
     Zone zone;
@@ -158,21 +152,11 @@ class Overlay {
   int deepest_leaf(int t) const;
 
   CanOptions opts_;
-  PhysDistFn phys_dist_;
-  std::vector<CanNode> nodes_;
   std::vector<TreeNode> tree_;
   std::vector<int> leaf_of_;  ///< node -> tree leaf index.
   int root_ = -1;
-  std::size_t alive_ = 0;
-  trace::TraceSink* trace_ = nullptr;
-  wire::ByteMeter* meter_ = nullptr;
-  core::LinkArena arena_;
-  // Warm scratch for the steady-state mutation paths (adaptation, zone
-  // churn), so shed/grow sweeps allocate nothing once capacities settle.
-  std::vector<std::pair<double, dht::NodeIndex>> hosts_scratch_;
-  std::vector<dht::NodeIndex> ids_scratch_;
-  std::vector<core::BackwardFinger> evict_scratch_;
-  std::vector<dht::NodeIndex> evict_out_;
+  /// Expansion host ranking, warm across adaptation sweeps.
+  mutable std::vector<std::pair<double, dht::NodeIndex>> hosts_scratch_;
 };
 
 }  // namespace ert::can

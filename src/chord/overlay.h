@@ -9,34 +9,23 @@
 // indegree expansion ("node (1010-1-011) can send requests targeting
 // ID in [1010-0-000, 1010-0-011] to take it as their 4th finger").
 //
-// The overlay mirrors the Cycloid one: indegree budgets with the
-// d_inf - d >= 1 acceptance rule, backward fingers per inlink, expansion
-// target enumeration, shedding, and a route_step API returning candidate
-// sets per hop. Routing is greedy clockwise: any candidate strictly closer
-// (clockwise) to the owner qualifies, fingers give the O(log n) jumps, and
-// the successor entry guarantees progress.
+// The link mechanics (indegree budgets, backward fingers, expansion and
+// shedding) come from core::ElasticLinks; this overlay supplies the loose-
+// finger geometry and a route_step API returning candidate sets per hop.
+// Routing is greedy clockwise: any candidate strictly closer (clockwise) to
+// the owner qualifies, fingers give the O(log n) jumps, and the successor
+// entry guarantees progress.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "dht/ring.h"
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
-#include "dht/stamp_set.h"
 #include "dht/types.h"
-#include "ert/indegree.h"
-
-namespace ert::trace {
-class TraceSink;
-}
-
-namespace ert::wire {
-class ByteMeter;
-}
+#include "ert/elastic_links.h"
 
 namespace ert::chord {
 
@@ -49,14 +38,9 @@ struct ChordOptions {
   bool enforce_indegree_bounds = false;
 };
 
-struct ChordNode {
+/// Table entries: [0, bits) fingers, [bits] successors.
+struct ChordNode : core::ElasticNode {
   std::uint64_t id = 0;
-  bool alive = false;
-  bool table_built = false;
-  double capacity = 1.0;
-  dht::ElasticTable table;  ///< entries: [0, bits) fingers, [bits] successors.
-  core::IndegreeBudget budget;
-  core::BackwardFingerList inlinks;
 };
 
 struct RouteStep {
@@ -65,12 +49,8 @@ struct RouteStep {
   std::vector<dht::NodeIndex> candidates;  ///< best progress first.
 };
 
-using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
-
-class Overlay {
+class Overlay : public core::ElasticLinks<Overlay, ChordNode> {
  public:
-  using PhysDistFn = std::function<double(dht::NodeIndex, dht::NodeIndex)>;
-
   explicit Overlay(ChordOptions opts, PhysDistFn phys_dist = {});
 
   dht::NodeIndex add_node(std::uint64_t id, double capacity, int max_indegree,
@@ -80,16 +60,6 @@ class Overlay {
 
   /// Builds fingers and the successor list for `i`.
   void build_table(dht::NodeIndex i);
-
-  int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
-  int shed_indegree(dht::NodeIndex i, int count);
-  void leave_graceful(dht::NodeIndex i);
-
-  /// Silent failure: stale links to `i` remain until discovered (timeouts).
-  void fail(dht::NodeIndex i);
-
-  /// Purges a discovered-dead neighbor from `at`'s table and inlinks.
-  void purge_dead(dht::NodeIndex at, dht::NodeIndex dead);
 
   /// Refills `slot` of `i` from the directory if it has no live candidate.
   void repair_entry(dht::NodeIndex i, std::size_t slot);
@@ -108,25 +78,13 @@ class Overlay {
 
   /// Hosts that could adopt `i` into a finger slot: for each m, the
   /// predecessors of (i - 2^m) within the spread window, plus predecessors
-  /// for the successor-list slot.
-  std::vector<ExpansionTarget> expansion_targets(dht::NodeIndex i,
-                                                 std::size_t max_targets) const;
+  /// for the successor-list slot. Writes up to `max_targets` into `out`.
+  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                              std::vector<core::ExpansionTarget>& out) const;
 
-  bool link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
-            bool respect_budget);
-  bool unlink(dht::NodeIndex from, dht::NodeIndex to);
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;
 
-  const ChordNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
-  ChordNode& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
-
-  /// Backing store for all pooled candidate / backward-finger sets
-  /// (dht/slab.h); every table or inlink operation threads through it.
-  core::LinkArena& arena() { return arena_; }
-  const core::LinkArena& arena() const { return arena_; }
-  std::size_t num_slots() const { return nodes_.size(); }
-  std::size_t alive_count() const { return alive_; }
   const dht::RingDirectory& directory() const { return directory_; }
 
   /// Batched construction: between these calls, add_node stages directory
@@ -147,36 +105,23 @@ class Overlay {
 
   std::uint64_t logical_distance(dht::NodeIndex a, dht::NodeIndex b) const;
 
-  void check_invariants() const;
-
-  /// Installs a structured-trace sink for the ERT elasticity path
-  /// (link.adopt / link.shed from expand_indegree / shed_indegree); null
-  /// disables emission. Observes only. See docs/TRACING.md.
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
-  void set_meter(wire::ByteMeter* meter) { meter_ = meter; }
-
  private:
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<ExpansionTarget>& out) const;
+  friend class core::ElasticLinks<Overlay, ChordNode>;
+  /// The successor list is unbounded; a loose finger holds finger_spread.
+  std::size_t slot_cap(std::size_t slot) const {
+    return slot == successor_entry() ? ElasticLinks::slot_cap(slot)
+                                     : opts_.finger_spread;
+  }
+  void erase_member(dht::NodeIndex i) { directory_.erase(nodes_[i].id); }
 
   ChordOptions opts_;
-  PhysDistFn phys_dist_;
   dht::RingDirectory directory_;
-  std::vector<ChordNode> nodes_;
-  std::size_t alive_ = 0;
-  trace::TraceSink* trace_ = nullptr;
-  wire::ByteMeter* meter_ = nullptr;
-  core::LinkArena arena_;
   // Warm scratch for the steady-state mutation paths (repair, adaptation),
   // so shed/grow sweeps allocate nothing once capacities settle. Two id
   // buffers because build/repair iterate one while link() -> eligible()
   // fills the other.
   mutable std::vector<std::uint64_t> ids_scratch_;
   mutable std::vector<std::uint64_t> elig_scratch_;
-  std::vector<ExpansionTarget> targets_scratch_;
-  mutable dht::StampSet inlink_seen_;  ///< expansion_targets_into() only.
-  std::vector<core::BackwardFinger> evict_scratch_;
-  std::vector<dht::NodeIndex> evict_out_;
 };
 
 }  // namespace ert::chord

@@ -8,10 +8,10 @@
 //    timeouts measured in Sec. 5.5);
 //  * elastic routing tables: four entries per node (cubical, cyclic, inside
 //    leaf, outside leaf) whose candidate sets grow and shrink;
-//  * indegree mechanics: the acceptance bound d_inf - d >= 1, backward
-//    fingers mirroring every inlink, reverse-neighbor enumeration for the
-//    indegree expansion algorithm (Sec. 3.2, Algorithm 1), and shedding for
-//    periodic adaptation (Sec. 3.3, Algorithm 3);
+//  * indegree mechanics from core::ElasticLinks (the acceptance bound
+//    d_inf - d >= 1, backward fingers mirroring every inlink, expansion and
+//    shedding), fed by this geometry's reverse-neighbor enumeration for the
+//    indegree expansion algorithm (Sec. 3.2, Algorithm 1);
 //  * routing: one `route_step` call per hop returning the entry the query
 //    must leave through and its candidate set, preference-ordered so that
 //    deterministic protocols (Base/NS/VS) take the front element while ERT
@@ -30,8 +30,8 @@
 // terminates; tests assert hop bounds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -41,17 +41,8 @@
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
 #include "dht/stable_order.h"
-#include "dht/stamp_set.h"
 #include "dht/types.h"
-#include "ert/indegree.h"
-
-namespace ert::trace {
-class TraceSink;
-}
-
-namespace ert::wire {
-class ByteMeter;
-}
+#include "ert/elastic_links.h"
 
 namespace ert::cycloid {
 
@@ -81,14 +72,10 @@ struct OverlayOptions {
   std::size_t base_fanout = 1;
 };
 
-struct OverlayNode {
+/// Table entries: kCubicalEntry .. kOutsideLeafEntry. The normalized
+/// capacity drives the NS bias.
+struct OverlayNode : core::ElasticNode {
   CycloidId id;
-  bool alive = false;
-  bool table_built = false;  ///< has build_table run for this node?
-  double capacity = 1.0;  ///< normalized capacity (drives NS bias).
-  dht::ElasticTable table;
-  core::IndegreeBudget budget;
-  core::BackwardFingerList inlinks;
 };
 
 struct RouteStep {
@@ -109,13 +96,8 @@ struct RouteCtx {
   Phase phase = Phase::kAscend;
 };
 
-/// (host node, entry slot) pair the expansion algorithm may probe.
-using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
-
-class Overlay {
+class Overlay : public core::ElasticLinks<Overlay, OverlayNode> {
  public:
-  using PhysDistFn = std::function<double(dht::NodeIndex, dht::NodeIndex)>;
-
   explicit Overlay(OverlayOptions opts, PhysDistFn phys_dist = {});
 
   // --- membership -----------------------------------------------------------
@@ -133,29 +115,6 @@ class Overlay {
   /// (join step 1). Also back-fills: nodes that could use `i` in an entry
   /// with no live candidate adopt it (keeps sparse networks routable).
   void build_table(dht::NodeIndex i, Rng& rng);
-
-  /// Indegree expansion (join step 2 / adaptation growth): probes reverse
-  /// neighbors until `want` new inlinks are gained or `max_probes` targets
-  /// are exhausted. Returns the number gained.
-  int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
-
-  /// Sheds up to `count` inlinks, evicting the backward fingers with the
-  /// longest logical (then physical) distance. A node keeps at least one
-  /// inlink (its keys must stay reachable), and hosts whose entry would be
-  /// emptied repair it immediately (the maintenance the paper's "ask
-  /// backward fingers to delete" implies). Returns the number shed.
-  int shed_indegree(dht::NodeIndex i, int count);
-
-  /// Graceful departure: all links to and from `i` are removed.
-  void leave_graceful(dht::NodeIndex i);
-
-  /// Silent failure: `i` leaves the directory but stale links to it remain
-  /// in other tables until discovered (timeout model, Sec. 5.5).
-  void fail(dht::NodeIndex i);
-
-  /// Purges a discovered-dead neighbor from `at`'s table and backward
-  /// fingers.
-  void purge_dead(dht::NodeIndex at, dht::NodeIndex dead);
 
   /// Refills entry `slot` of `i` from the directory if it has no live
   /// candidate (used after purges and when shedding empties a host's slot).
@@ -177,22 +136,12 @@ class Overlay {
                                 RouteCtx& ctx,
                                 dht::RouteScratch& scratch) const;
 
-  // --- elasticity helpers -----------------------------------------------------
+  // --- elasticity geometry ----------------------------------------------------
 
   /// Enumerates up to `max_targets` (host, slot) pairs that could take `i`
-  /// as a routing-table neighbor, nearest hosts first.
-  std::vector<ExpansionTarget> expansion_targets(dht::NodeIndex i,
-                                                 std::size_t max_targets) const;
-
-  /// Creates the link from -> to in `slot`, mirroring the backward finger
-  /// and indegree. When `respect_budget`, fails if `to` has no spare
-  /// indegree. Returns false if ineligible, duplicate, or over budget.
-  bool link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
-            bool respect_budget);
-
-  /// Removes the link from -> to everywhere in `from`'s table, fixing the
-  /// backward finger and indegree of `to`.
-  bool unlink(dht::NodeIndex from, dht::NodeIndex to);
+  /// as a routing-table neighbor, nearest hosts first, into `out`.
+  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                              std::vector<core::ExpansionTarget>& out) const;
 
   /// True iff `cand` may legally sit in entry `slot` of `owner`.
   bool eligible(dht::NodeIndex owner, std::size_t slot,
@@ -200,16 +149,6 @@ class Overlay {
 
   // --- introspection -----------------------------------------------------------
 
-  const OverlayNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
-  OverlayNode& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
-
-  /// Backing store for all pooled candidate / backward-finger sets
-  /// (dht/slab.h); every table or inlink operation threads through it.
-  core::LinkArena& arena() { return arena_; }
-  const core::LinkArena& arena() const { return arena_; }
-
-  std::size_t num_slots() const { return nodes_.size(); }
-  std::size_t alive_count() const { return alive_; }
   const IdSpace& space() const { return space_; }
   const dht::RingDirectory& directory() const { return directory_; }
 
@@ -235,22 +174,28 @@ class Overlay {
   std::uint64_t logical_distance_to_key(dht::NodeIndex a,
                                         std::uint64_t key) const;
 
-  double physical_distance(dht::NodeIndex a, dht::NodeIndex b) const {
-    return phys_dist_ ? phys_dist_(a, b) : 0.0;
-  }
-
-  /// Verifies internal invariants (link symmetry, budget consistency);
-  /// aborts via assert on violation. Used by tests.
-  void check_invariants() const;
-
-  /// Installs a structured-trace sink for the ERT elasticity path
-  /// (link.adopt / link.shed events from expand_indegree / shed_indegree);
-  /// null (the default) disables emission. The sink only observes — it
-  /// never changes overlay behavior. See docs/TRACING.md.
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
-  void set_meter(wire::ByteMeter* meter) { meter_ = meter; }
-
  private:
+  friend class core::ElasticLinks<Overlay, OverlayNode>;
+  /// A node keeps at least one inlink: its keys must stay reachable.
+  int shed_limit(dht::NodeIndex i, int count) const {
+    return std::min<int>(count,
+                         static_cast<int>(nodes_.at(i).inlinks.size()) - 1);
+  }
+  /// The evicted host lost a candidate; if that leaves a slot with no live
+  /// option its routing would degrade to the walk, so it repairs right away
+  /// (the maintenance the paper's "ask backward fingers to delete" implies).
+  void after_shed(dht::NodeIndex host) {
+    if (!nodes_[host].alive) return;
+    for (std::size_t slot = 0; slot < kNumEntries; ++slot)
+      repair_entry(host, slot);
+  }
+  void erase_member(dht::NodeIndex i) {
+    directory_.erase(lv(i));
+    class_dirs_[static_cast<std::size_t>(nodes_[i].id.k)].erase(nodes_[i].id.a);
+  }
+  /// Table eligibility and the per-class index mirror the directory.
+  void check_geometry() const;
+
   std::uint64_t lv(dht::NodeIndex i) const { return space_.to_linear(nodes_[i].id); }
 
   /// All alive nodes eligible for entry `slot` of `owner`, preference-
@@ -267,16 +212,11 @@ class Overlay {
   void cycle_members(std::uint64_t a,
                      std::vector<dht::NodeIndex>& out) const;
 
-  /// Scratch form of expansion_targets (same enumeration, warm buffers).
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<ExpansionTarget>& out) const;
-
   void order_by_policy(dht::NodeIndex owner,
                        std::vector<dht::NodeIndex>& cands) const;
 
   OverlayOptions opts_;
   IdSpace space_;
-  PhysDistFn phys_dist_;
   dht::RingDirectory directory_;
   /// Secondary index: class_dirs_[k] holds the cubical indices `a` of the
   /// occupied ids with cyclic index k. Since linear id = a*d + k, a cubical
@@ -285,11 +225,6 @@ class Overlay {
   /// filtering the d-times-denser main directory. Kept in lockstep with
   /// directory_ at every insert/erase; never consulted for routing state.
   std::vector<dht::RingDirectory> class_dirs_;
-  std::vector<OverlayNode> nodes_;
-  std::size_t alive_ = 0;
-  trace::TraceSink* trace_ = nullptr;
-  wire::ByteMeter* meter_ = nullptr;
-  core::LinkArena arena_;
   // Warm scratch for the steady-state mutation paths (build back-fill,
   // repair, shed/grow), so the periodic adaptation sweep allocates nothing
   // once capacities settle. All are logically stackless temporaries;
@@ -298,12 +233,8 @@ class Overlay {
   mutable std::vector<dht::NodeIndex> members_scratch_;
   mutable std::vector<std::uint64_t> cycles_scratch_;
   mutable std::vector<std::uint64_t> elig_cycles_;  ///< eligible() only.
-  mutable std::vector<ExpansionTarget> targets_scratch_;
-  mutable dht::StampSet inlink_seen_;  ///< expansion_targets_into() only.
   mutable std::vector<std::pair<std::uint32_t, dht::NodeIndex>> sort_scratch_;
   mutable std::vector<dht::NodeIndex> part_scratch_;
-  std::vector<core::BackwardFinger> evict_scratch_;
-  std::vector<dht::NodeIndex> evict_out_;
 };
 
 }  // namespace ert::cycloid

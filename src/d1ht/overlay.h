@@ -19,25 +19,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "dht/ring.h"
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
-#include "dht/stamp_set.h"
 #include "dht/types.h"
-#include "ert/indegree.h"
-
-namespace ert::trace {
-class TraceSink;
-}
-
-namespace ert::wire {
-class ByteMeter;
-}
+#include "ert/elastic_links.h"
 
 namespace ert::d1ht {
 
@@ -55,22 +44,14 @@ struct D1htOptions {
   bool enforce_indegree_bounds = false;
 };
 
-struct D1htNode {
+/// Table entries: [0] full table, [1] successor list. Backward fingers and
+/// the budget cover the elastic (successor) inlinks only.
+struct D1htNode : core::ElasticNode {
   std::uint64_t id = 0;
-  bool alive = false;
-  bool table_built = false;
-  double capacity = 1.0;
-  dht::ElasticTable table;  ///< [0] full table, [1] successor list.
-  core::IndegreeBudget budget;
-  core::BackwardFingerList inlinks;  ///< elastic (successor) inlinks only.
 };
 
-using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
-
-class Overlay {
+class Overlay : public core::ElasticLinks<Overlay, D1htNode> {
  public:
-  using PhysDistFn = std::function<double(dht::NodeIndex, dht::NodeIndex)>;
-
   explicit Overlay(D1htOptions opts, PhysDistFn phys_dist = {});
 
   dht::NodeIndex add_node(std::uint64_t id, double capacity, int max_indegree,
@@ -83,15 +64,6 @@ class Overlay {
   /// join), plus the initial successor-list links.
   void build_table(dht::NodeIndex i);
 
-  int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
-  int shed_indegree(dht::NodeIndex i, int count);
-  void leave_graceful(dht::NodeIndex i);
-
-  /// Silent failure: every member's full table keeps a stale entry until a
-  /// timeout discovers it (EDRA detection latency).
-  void fail(dht::NodeIndex i);
-
-  void purge_dead(dht::NodeIndex at, dht::NodeIndex dead);
   void repair_entry(dht::NodeIndex i, std::size_t slot);
 
   dht::NodeIndex responsible(std::uint64_t key) const;
@@ -102,24 +74,14 @@ class Overlay {
 
   /// Hosts that could adopt `i` into their successor entry: i's ring
   /// predecessors within the spread window.
-  std::vector<ExpansionTarget> expansion_targets(dht::NodeIndex i,
-                                                 std::size_t max_targets) const;
+  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                              std::vector<core::ExpansionTarget>& out) const;
 
-  /// Elastic (successor-entry) links only; the full mesh never goes
-  /// through link/unlink.
-  bool link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
-            bool respect_budget);
-  bool unlink(dht::NodeIndex from, dht::NodeIndex to);
+  /// Elastic links go to the successor entry only; the full mesh never
+  /// goes through link/unlink.
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;
 
-  const D1htNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
-  D1htNode& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
-
-  core::LinkArena& arena() { return arena_; }
-  const core::LinkArena& arena() const { return arena_; }
-  std::size_t num_slots() const { return nodes_.size(); }
-  std::size_t alive_count() const { return alive_; }
   const dht::RingDirectory& directory() const { return directory_; }
 
   void begin_bulk_insert(std::size_t expected) {
@@ -133,29 +95,20 @@ class Overlay {
 
   std::uint64_t logical_distance(dht::NodeIndex a, dht::NodeIndex b) const;
 
-  void check_invariants() const;
-
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
-  void set_meter(wire::ByteMeter* meter) { meter_ = meter; }
-
  private:
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<ExpansionTarget>& out) const;
+  friend class core::ElasticLinks<Overlay, D1htNode>;
+  /// The full mesh (slot 0) is mandatory symmetric structure.
+  static constexpr std::size_t kFirstElasticSlot = kSuccessorEntry;
+  std::size_t slot_cap(std::size_t) const { return opts_.successor_spread; }
+  /// EDRA announces a departure: every member drops its full-table entry.
+  void drop_mandatory_links(dht::NodeIndex i);
+  void erase_member(dht::NodeIndex i) { directory_.erase(nodes_[i].id); }
+  void check_geometry() const;
 
   D1htOptions opts_;
-  PhysDistFn phys_dist_;
   dht::RingDirectory directory_;
-  std::vector<D1htNode> nodes_;
-  std::size_t alive_ = 0;
-  trace::TraceSink* trace_ = nullptr;
-  wire::ByteMeter* meter_ = nullptr;
-  core::LinkArena arena_;
   mutable std::vector<std::uint64_t> ids_scratch_;
   mutable std::vector<std::uint64_t> elig_scratch_;
-  std::vector<ExpansionTarget> targets_scratch_;
-  mutable dht::StampSet inlink_seen_;
-  std::vector<core::BackwardFinger> evict_scratch_;
-  std::vector<dht::NodeIndex> evict_out_;
 };
 
 }  // namespace ert::d1ht

@@ -21,7 +21,7 @@ namespace ert::harness::detail {
 /// A lookup in flight. Lives in a recycled slot of the engine's queries_
 /// vector (fault-free runs), so the storage scales with peak concurrency,
 /// not total lookups issued; `id` is the lookup's stable monotonic identity
-/// for traces and the substrate's per-query context.
+/// for traces.
 struct Query {
   std::uint64_t id = 0;   ///< monotonic issue number, never reused.
   std::uint64_t key = 0;
@@ -32,8 +32,7 @@ struct Query {
   std::size_t heavy_met = 0;
   std::size_t timeouts = 0;
   core::OverloadedSet overloaded;  ///< the A set of Algorithm 4.
-  /// Substrate routing context carried with the query (sharded engine; the
-  /// serial engine uses the adapter's qid-keyed context instead).
+  /// Substrate routing context carried with the query (both engines).
   SubstrateOps::RouteCtxBlob rctx;
   bool done = false;
   bool returning = false;  ///< data-forwarding mode: response leg.

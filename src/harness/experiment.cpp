@@ -334,7 +334,6 @@ class Engine {
     if (tracing(trace::Category::kQuery))
       trace_->emit(trace::EventType::kQueryBegin, src, q.id,
                    static_cast<std::int64_t>(q.key));
-    substrate_->start_query(q.id);
     arrive(qid, src);
   }
 
@@ -514,7 +513,7 @@ class Engine {
         return;
       }
       const HopStep step =
-          substrate_->route_step(q.id, v, q.key, route_scratch_);
+          substrate_->route_step(v, q.key, q.rctx, route_scratch_);
       if (step.arrived) {
         finish_lookup(qid);
         return;
@@ -675,7 +674,6 @@ class Engine {
     Query& q = queries_[qid];
     if (q.done) return;
     q.done = true;
-    substrate_->finish_query(q.id);
     if (q.fault_hit) ++fstats_.recovered;
     if (tracing(trace::Category::kQuery))
       trace_->emit(trace::EventType::kQueryEnd, q.cur, q.id,
@@ -708,7 +706,6 @@ class Engine {
     Query& q = queries_[qid];
     if (q.done) return;
     q.done = true;
-    substrate_->finish_query(q.id);
     if (tracing(trace::Category::kQuery))
       trace_->emit(trace::EventType::kQueryDrop, q.cur, q.id,
                    static_cast<std::int64_t>(q.hops), 0, /*cause=*/0);
@@ -723,7 +720,6 @@ class Engine {
     Query& q = queries_[qid];
     if (q.done) return;
     q.done = true;
-    substrate_->finish_query(q.id);
     if (tracing(trace::Category::kQuery))
       trace_->emit(trace::EventType::kQueryDrop, q.cur, q.id,
                    static_cast<std::int64_t>(q.hops), 0, /*cause=*/1);

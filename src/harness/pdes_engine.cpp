@@ -28,7 +28,7 @@ namespace ert::harness {
 
 bool pdes_supported(const SimParams& params, Protocol protocol,
                     SubstrateKind substrate, const ExperimentOptions& options) {
-  (void)substrate;  // every non-VS substrate routes through RouteCtxBlob.
+  (void)substrate;  // every substrate routes through RouteCtxBlob.
   if (uses_virtual_servers(protocol)) return false;
   if (params.impulse_nodes > 0) return false;
   if (!options.scenario.inert()) return false;

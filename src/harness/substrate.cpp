@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 
 #include "can/overlay.h"
@@ -12,42 +11,131 @@
 #include "harness/experiment.h"
 #include "kademlia/overlay.h"
 #include "pastry/overlay.h"
-#include "wire/meter.h"
 
 namespace ert::harness {
 namespace {
 
 using dht::NodeIndex;
 
-/// Symmetry audit shared by the ring-based overlays (Cycloid, Chord,
-/// Pastry): every live outlink candidate must be mirrored by a backward
-/// finger at its target, every backward finger from a live node by an
-/// outlink at its owner. Stale links to *dead* peers are tolerated — silent
-/// failure (Sec. 5.5) leaves them in place until a timeout discovers them.
+/// The elastic half of every adapter, written once over the overlay's
+/// core::ElasticLinks interface (ert/elastic_links.h).
 template <typename OverlayT>
-LinkAuditCounts audit_links_ring(const OverlayT& o, NodeIndex i) {
-  LinkAuditCounts a;
-  const auto& arena = o.arena();
-  const auto& n = o.node(i);
-  a.inlinks = n.inlinks.size();
-  for (const auto& e : n.table.entries()) {
-    for (const dht::NodeIndex32 c : e.candidates(arena.cands)) {
-      if (!o.node(c).alive) continue;
-      if (!o.node(c).inlinks.contains(arena.fingers, i)) ++a.missing_backward;
-    }
+class ElasticSubstrate : public SubstrateOps {
+ public:
+  void begin_bulk_join(std::size_t expected_nodes) override {
+    if constexpr (requires { overlay_->begin_bulk_insert(expected_nodes); })
+      overlay_->begin_bulk_insert(expected_nodes);
   }
-  for (const auto& f : n.inlinks.fingers(arena.fingers)) {
-    if (!o.node(f.node).alive) continue;
-    if (!o.node(f.node).table.links_to(arena.cands, i)) ++a.missing_forward;
+  void end_bulk_join() override {
+    if constexpr (requires { overlay_->end_bulk_insert(); })
+      overlay_->end_bulk_insert();
   }
-  return a;
-}
+  void fail(NodeIndex i) override { overlay_->fail(i); }
+  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
+  std::size_t num_slots() const override { return overlay_->num_slots(); }
 
-class CycloidSubstrate final : public SubstrateOps {
+  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
+    return overlay_->expand_indegree(i, want, probes);
+  }
+  int shed_indegree(NodeIndex i, int count) override {
+    return overlay_->shed_indegree(i, count);
+  }
+  core::IndegreeBudget& budget(NodeIndex i) override {
+    return overlay_->mutable_node(i).budget;
+  }
+  std::size_t indegree(NodeIndex i) const override {
+    return overlay_->indegree(i);
+  }
+  std::size_t outdegree(NodeIndex i) const override {
+    return overlay_->node(i).table.outdegree();
+  }
+  void purge_dead(NodeIndex at, NodeIndex dead) override {
+    overlay_->purge_dead(at, dead);
+  }
+
+  LinkAuditCounts audit_links(NodeIndex i) const override {
+    return overlay_->audit_links(i);
+  }
+  void check_structure() const override { overlay_->check_invariants(); }
+
+  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
+    if (slot == kNoSlot) return nullptr;
+    return &overlay_->mutable_node(i).table.entry(slot);
+  }
+
+  void set_trace(trace::TraceSink* sink) override {
+    overlay_->set_trace(sink);
+  }
+  void set_meter(wire::ByteMeter* meter) override {
+    overlay_->set_meter(meter);
+  }
+
+ protected:
+  /// Emergency hops (entry index past the table) leave through no slot.
+  HopStep hop(NodeIndex cur, const dht::RouteStepInfo& s) const {
+    HopStep h;
+    h.arrived = s.arrived;
+    h.slot = s.entry_index < overlay_->node(cur).table.num_entries()
+                 ? s.entry_index
+                 : kNoSlot;
+    return h;
+  }
+
+  std::unique_ptr<OverlayT> overlay_;
+};
+
+/// Chord, Pastry, Kademlia and D1HT: random ids on a 2^bits ring and
+/// stateless routing.
+template <typename OverlayT>
+class RingSubstrate : public ElasticSubstrate<OverlayT> {
+ protected:
+  using ElasticSubstrate<OverlayT>::overlay_;
+
+ public:
+  NodeIndex add_node(Rng& rng, double capacity, int max_indegree,
+                     double beta) override {
+    return overlay_->add_node_random(rng, capacity, max_indegree, beta);
+  }
+  void build_table(NodeIndex i, Rng& rng) override {
+    if constexpr (requires { overlay_->build_table(i, rng); })
+      overlay_->build_table(i, rng);
+    else
+      overlay_->build_table(i);
+  }
+  bool id_space_full() const override {
+    return overlay_->directory().size() >= overlay_->ring_size();
+  }
+  void repair_entry(NodeIndex i, std::size_t slot) override {
+    if (slot != kNoSlot) overlay_->repair_entry(i, slot);
+  }
+
+  std::uint64_t key_space() const override { return overlay_->ring_size(); }
+  NodeIndex responsible(std::uint64_t key) const override {
+    return overlay_->responsible(key);
+  }
+  HopStep route_step(NodeIndex cur, std::uint64_t key,
+                     SubstrateOps::RouteCtxBlob&,
+                     dht::RouteScratch& scratch) override {
+    return this->hop(cur, overlay_->route_step(cur, key, scratch));
+  }
+  std::uint64_t logical_distance_to_key(NodeIndex a,
+                                        std::uint64_t key) const override {
+    return overlay_->logical_distance_to_key(a, key);
+  }
+  NodeIndex live_successor(NodeIndex i) const override {
+    return overlay_->directory().successor(
+        (overlay_->node(i).id + 1) & (overlay_->ring_size() - 1));
+  }
+  NodeIndex node_at_or_after(std::uint64_t lv) const override {
+    return overlay_->directory().successor(lv & (overlay_->ring_size() - 1));
+  }
+};
+
+class CycloidSubstrate final : public ElasticSubstrate<cycloid::Overlay> {
  public:
   CycloidSubstrate(const SimParams& params, bool capacity_biased,
                    bool enforce_bounds, std::size_t ids_needed,
-                   cycloid::Overlay::PhysDistFn phys) {
+                   PhysDistFn phys) {
     cycloid::OverlayOptions opts;
     opts.dimension = std::max(params.dimension, fit_dimension(ids_needed));
     opts.enforce_indegree_bounds = enforce_bounds;
@@ -61,74 +149,19 @@ class CycloidSubstrate final : public SubstrateOps {
                      double beta) override {
     return overlay_->add_node_random(rng, capacity, max_indegree, beta);
   }
-  void begin_bulk_join(std::size_t expected_nodes) override {
-    overlay_->begin_bulk_insert(expected_nodes);
-  }
-  void end_bulk_join() override { overlay_->end_bulk_insert(); }
   void build_table(NodeIndex i, Rng& rng) override {
     overlay_->build_table(i, rng);
   }
   bool id_space_full() const override {
     return overlay_->directory().size() >= overlay_->space().size();
   }
-  void fail(NodeIndex i) override { overlay_->fail(i); }
-  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
-  std::size_t num_slots() const override { return overlay_->num_slots(); }
-
-  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
-    return overlay_->expand_indegree(i, want, probes);
-  }
-  int shed_indegree(NodeIndex i, int count) override {
-    return overlay_->shed_indegree(i, count);
-  }
-  core::IndegreeBudget& budget(NodeIndex i) override {
-    return overlay_->mutable_node(i).budget;
-  }
-  std::size_t indegree(NodeIndex i) const override {
-    return overlay_->node(i).inlinks.size();
-  }
-  std::size_t outdegree(NodeIndex i) const override {
-    return overlay_->node(i).table.outdegree();
-  }
-
-  void purge_dead(NodeIndex at, NodeIndex dead) override {
-    overlay_->purge_dead(at, dead);
-  }
   void repair_entry(NodeIndex i, std::size_t slot) override {
     if (slot < cycloid::kNumEntries) overlay_->repair_entry(i, slot);
   }
 
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    return audit_links_ring(*overlay_, i);
-  }
-  void check_structure() const override { overlay_->check_invariants(); }
-
   std::uint64_t key_space() const override { return overlay_->space().size(); }
   NodeIndex responsible(std::uint64_t key) const override {
     return overlay_->responsible(key);
-  }
-  void start_query(std::size_t qid) override {
-    // qids are issued in increasing order, so appending keeps ctx_ sorted
-    // by qid; finish_query erases the slot, so the vector's size (and its
-    // steady-state capacity) is bounded by the in-flight query count
-    // instead of growing monotonically with every query ever issued.
-    assert(ctx_.empty() || ctx_.back().qid < qid);
-    ctx_.push_back(QueryCtx{qid, cycloid::RouteCtx{}});
-  }
-  void finish_query(std::size_t qid) override {
-    const auto it = find_ctx(qid);
-    if (it != ctx_.end() && it->qid == qid) ctx_.erase(it);
-  }
-  HopStep route_step(std::size_t qid, NodeIndex cur, std::uint64_t key,
-                     dht::RouteScratch& scratch) override {
-    const auto it = find_ctx(qid);
-    assert(it != ctx_.end() && it->qid == qid);
-    const dht::RouteStepInfo s =
-        overlay_->route_step(cur, key, it->ctx, scratch);
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < cycloid::kNumEntries ? s.entry_index : kNoSlot;
-    return h;
   }
   HopStep route_step(NodeIndex cur, std::uint64_t key, RouteCtxBlob& blob,
                      dht::RouteScratch& scratch) override {
@@ -142,18 +175,11 @@ class CycloidSubstrate final : public SubstrateOps {
     std::memcpy(&ctx, blob.bytes, sizeof(ctx));
     const dht::RouteStepInfo s = overlay_->route_step(cur, key, ctx, scratch);
     std::memcpy(blob.bytes, &ctx, sizeof(ctx));
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < cycloid::kNumEntries ? s.entry_index : kNoSlot;
-    return h;
+    return hop(cur, s);
   }
   std::uint64_t logical_distance_to_key(NodeIndex a,
                                         std::uint64_t key) const override {
     return overlay_->logical_distance_to_key(a, key);
-  }
-  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
-    if (slot == kNoSlot) return nullptr;
-    return &overlay_->mutable_node(i).table.entry(slot);
   }
   NodeIndex live_successor(NodeIndex i) const override {
     const std::uint64_t lv =
@@ -164,241 +190,66 @@ class CycloidSubstrate final : public SubstrateOps {
     return overlay_->directory().successor(lv % overlay_->space().size());
   }
   cycloid::Overlay* as_cycloid() override { return overlay_.get(); }
-
-  void set_trace(trace::TraceSink* sink) override {
-    overlay_->set_trace(sink);
-  }
-  void set_meter(wire::ByteMeter* meter) override {
-    overlay_->set_meter(meter);
-  }
-
- private:
-  /// Routing context of one in-flight query, kept sorted by qid.
-  struct QueryCtx {
-    std::size_t qid;
-    cycloid::RouteCtx ctx;
-  };
-
-  std::vector<QueryCtx>::iterator find_ctx(std::size_t qid) {
-    return std::lower_bound(
-        ctx_.begin(), ctx_.end(), qid,
-        [](const QueryCtx& c, std::size_t q) { return c.qid < q; });
-  }
-
-  std::unique_ptr<cycloid::Overlay> overlay_;
-  std::vector<QueryCtx> ctx_;
 };
 
-class ChordSubstrate final : public SubstrateOps {
+class ChordSubstrate final : public RingSubstrate<chord::Overlay> {
  public:
-  ChordSubstrate(const SimParams& params, bool enforce_bounds,
-                 std::size_t ids_needed, chord::Overlay::PhysDistFn phys) {
+  ChordSubstrate(bool enforce_bounds, std::size_t ids_needed,
+                 PhysDistFn phys) {
     chord::ChordOptions opts;
     opts.enforce_indegree_bounds = enforce_bounds;
     // Ring large enough that random ids rarely collide.
-    const int bits = substrate_ring_bits(ids_needed);
-    opts.bits = bits;
-    (void)params;
+    opts.bits = substrate_ring_bits(ids_needed);
     overlay_ = std::make_unique<chord::Overlay>(opts, std::move(phys));
   }
-
-  NodeIndex add_node(Rng& rng, double capacity, int max_indegree,
-                     double beta) override {
-    return overlay_->add_node_random(rng, capacity, max_indegree, beta);
-  }
-  void begin_bulk_join(std::size_t expected_nodes) override {
-    overlay_->begin_bulk_insert(expected_nodes);
-  }
-  void end_bulk_join() override { overlay_->end_bulk_insert(); }
-  void build_table(NodeIndex i, Rng& rng) override {
-    (void)rng;
-    overlay_->build_table(i);
-  }
-  bool id_space_full() const override {
-    return overlay_->directory().size() >= overlay_->ring_size();
-  }
-  void fail(NodeIndex i) override { overlay_->fail(i); }
-  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
-  std::size_t num_slots() const override { return overlay_->num_slots(); }
-
-  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
-    return overlay_->expand_indegree(i, want, probes);
-  }
-  int shed_indegree(NodeIndex i, int count) override {
-    return overlay_->shed_indegree(i, count);
-  }
-  core::IndegreeBudget& budget(NodeIndex i) override {
-    return overlay_->mutable_node(i).budget;
-  }
-  std::size_t indegree(NodeIndex i) const override {
-    return overlay_->node(i).inlinks.size();
-  }
-  std::size_t outdegree(NodeIndex i) const override {
-    return overlay_->node(i).table.outdegree();
-  }
-
-  void purge_dead(NodeIndex at, NodeIndex dead) override {
-    overlay_->purge_dead(at, dead);
-  }
-  void repair_entry(NodeIndex i, std::size_t slot) override {
-    if (slot != kNoSlot) overlay_->repair_entry(i, slot);
-  }
-
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    return audit_links_ring(*overlay_, i);
-  }
-  void check_structure() const override { overlay_->check_invariants(); }
-
-  std::uint64_t key_space() const override { return overlay_->ring_size(); }
-  NodeIndex responsible(std::uint64_t key) const override {
-    return overlay_->responsible(key);
-  }
-  void start_query(std::size_t) override {}
-  HopStep route_step(std::size_t, NodeIndex cur, std::uint64_t key,
-                     dht::RouteScratch& scratch) override {
-    const dht::RouteStepInfo s = overlay_->route_step(cur, key, scratch);
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < overlay_->node(cur).table.num_entries()
-                 ? s.entry_index
-                 : kNoSlot;
-    return h;
-  }
-  std::uint64_t logical_distance_to_key(NodeIndex a,
-                                        std::uint64_t key) const override {
-    return overlay_->logical_distance_to_key(a, key);
-  }
-  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
-    if (slot == kNoSlot) return nullptr;
-    return &overlay_->mutable_node(i).table.entry(slot);
-  }
-  NodeIndex live_successor(NodeIndex i) const override {
-    return overlay_->directory().successor(
-        (overlay_->node(i).id + 1) & (overlay_->ring_size() - 1));
-  }
-  NodeIndex node_at_or_after(std::uint64_t lv) const override {
-    return overlay_->directory().successor(lv & (overlay_->ring_size() - 1));
-  }
-
-  void set_trace(trace::TraceSink* sink) override {
-    overlay_->set_trace(sink);
-  }
-  void set_meter(wire::ByteMeter* meter) override {
-    overlay_->set_meter(meter);
-  }
-
- private:
-  std::unique_ptr<chord::Overlay> overlay_;
 };
 
-class PastrySubstrate final : public SubstrateOps {
+class PastrySubstrate final : public RingSubstrate<pastry::Overlay> {
  public:
-  PastrySubstrate(const SimParams& params, bool enforce_bounds,
-                  std::size_t ids_needed, pastry::Overlay::PhysDistFn phys) {
+  PastrySubstrate(bool enforce_bounds, std::size_t ids_needed,
+                  PhysDistFn phys) {
     pastry::PastryOptions opts;
     opts.enforce_indegree_bounds = enforce_bounds;
     const int bits = substrate_ring_bits(ids_needed);
     opts.rows = (bits + opts.bits_per_digit - 1) / opts.bits_per_digit;
-    (void)params;
     overlay_ = std::make_unique<pastry::Overlay>(opts, std::move(phys));
   }
-
-  NodeIndex add_node(Rng& rng, double capacity, int max_indegree,
-                     double beta) override {
-    return overlay_->add_node_random(rng, capacity, max_indegree, beta);
-  }
-  void begin_bulk_join(std::size_t expected_nodes) override {
-    overlay_->begin_bulk_insert(expected_nodes);
-  }
-  void end_bulk_join() override { overlay_->end_bulk_insert(); }
-  void build_table(NodeIndex i, Rng& rng) override {
-    (void)rng;
-    overlay_->build_table(i);
-  }
-  bool id_space_full() const override {
-    return overlay_->directory().size() >= overlay_->ring_size();
-  }
-  void fail(NodeIndex i) override { overlay_->fail(i); }
-  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
-  std::size_t num_slots() const override { return overlay_->num_slots(); }
-
-  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
-    return overlay_->expand_indegree(i, want, probes);
-  }
-  int shed_indegree(NodeIndex i, int count) override {
-    return overlay_->shed_indegree(i, count);
-  }
-  core::IndegreeBudget& budget(NodeIndex i) override {
-    return overlay_->mutable_node(i).budget;
-  }
-  std::size_t indegree(NodeIndex i) const override {
-    return overlay_->node(i).inlinks.size();
-  }
-  std::size_t outdegree(NodeIndex i) const override {
-    return overlay_->node(i).table.outdegree();
-  }
-
-  void purge_dead(NodeIndex at, NodeIndex dead) override {
-    overlay_->purge_dead(at, dead);
-  }
-  void repair_entry(NodeIndex i, std::size_t slot) override {
-    if (slot != kNoSlot) overlay_->repair_entry(i, slot);
-  }
-
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    return audit_links_ring(*overlay_, i);
-  }
-  void check_structure() const override { overlay_->check_invariants(); }
-
-  std::uint64_t key_space() const override { return overlay_->ring_size(); }
-  NodeIndex responsible(std::uint64_t key) const override {
-    return overlay_->responsible(key);
-  }
-  void start_query(std::size_t) override {}
-  HopStep route_step(std::size_t, NodeIndex cur, std::uint64_t key,
-                     dht::RouteScratch& scratch) override {
-    const dht::RouteStepInfo s = overlay_->route_step(cur, key, scratch);
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < overlay_->node(cur).table.num_entries()
-                 ? s.entry_index
-                 : kNoSlot;
-    return h;
-  }
-  std::uint64_t logical_distance_to_key(NodeIndex a,
-                                        std::uint64_t key) const override {
-    return overlay_->logical_distance_to_key(a, key);
-  }
-  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
-    if (slot == kNoSlot) return nullptr;
-    return &overlay_->mutable_node(i).table.entry(slot);
-  }
-  NodeIndex live_successor(NodeIndex i) const override {
-    return overlay_->directory().successor(
-        (overlay_->node(i).id + 1) & (overlay_->ring_size() - 1));
-  }
-  NodeIndex node_at_or_after(std::uint64_t lv) const override {
-    return overlay_->directory().successor(lv & (overlay_->ring_size() - 1));
-  }
-
-  void set_trace(trace::TraceSink* sink) override {
-    overlay_->set_trace(sink);
-  }
-  void set_meter(wire::ByteMeter* meter) override {
-    overlay_->set_meter(meter);
-  }
-
- private:
-  std::unique_ptr<pastry::Overlay> overlay_;
 };
 
-class CanSubstrate final : public SubstrateOps {
+class KademliaSubstrate final : public RingSubstrate<kademlia::Overlay> {
  public:
-  CanSubstrate(const SimParams& params, bool enforce_bounds,
-               can::Overlay::PhysDistFn phys) {
+  KademliaSubstrate(bool capacity_biased, bool enforce_bounds,
+                    std::size_t ids_needed, PhysDistFn phys) {
+    kademlia::KademliaOptions opts;
+    opts.enforce_indegree_bounds = enforce_bounds;
+    opts.capacity_biased = capacity_biased;
+    opts.bits = substrate_ring_bits(ids_needed);
+    overlay_ = std::make_unique<kademlia::Overlay>(opts, std::move(phys));
+  }
+
+  NodeIndex live_successor(NodeIndex i) const override {
+    // Kademlia's hand-off target is by ownership metric: the alive node
+    // XOR-closest to the dead node's id.
+    return overlay_->responsible(overlay_->node(i).id);
+  }
+};
+
+class D1htSubstrate final : public RingSubstrate<d1ht::Overlay> {
+ public:
+  D1htSubstrate(bool enforce_bounds, std::size_t ids_needed,
+                PhysDistFn phys) {
+    d1ht::D1htOptions opts;
+    opts.enforce_indegree_bounds = enforce_bounds;
+    opts.bits = substrate_ring_bits(ids_needed);
+    overlay_ = std::make_unique<d1ht::Overlay>(opts, std::move(phys));
+  }
+};
+
+class CanSubstrate final : public ElasticSubstrate<can::Overlay> {
+ public:
+  CanSubstrate(bool enforce_bounds, PhysDistFn phys) {
     can::CanOptions opts;
     opts.enforce_indegree_bounds = enforce_bounds;
-    (void)params;
     overlay_ = std::make_unique<can::Overlay>(opts, std::move(phys));
   }
 
@@ -417,90 +268,20 @@ class CanSubstrate final : public SubstrateOps {
     // engine's initial indegree assignment (expand_indegree).
   }
   bool id_space_full() const override { return false; }
-  void fail(NodeIndex i) override {
-    // CAN departures are announced (the zone must be taken over to keep the
-    // space partitioned); silent-failure takeover is out of scope, so churn
-    // on CAN models graceful departure and produces no timeouts.
-    overlay_->leave_graceful(i);
-  }
-  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
-  std::size_t num_slots() const override { return overlay_->num_slots(); }
-
-  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
-    return overlay_->expand_indegree(i, want, probes);
-  }
-  int shed_indegree(NodeIndex i, int count) override {
-    return overlay_->shed_indegree(i, count);
-  }
-  core::IndegreeBudget& budget(NodeIndex i) override {
-    return const_cast<core::IndegreeBudget&>(overlay_->node(i).budget);
-  }
-  std::size_t indegree(NodeIndex i) const override {
-    // Symmetric adjacency plus elastic shortcut inlinks.
-    return overlay_->node(i).table.entry(can::kAdjacencyEntry).size() +
-           overlay_->node(i).inlinks.size();
-  }
-  std::size_t outdegree(NodeIndex i) const override {
-    return overlay_->node(i).table.outdegree();
-  }
-
-  void purge_dead(NodeIndex at, NodeIndex dead) override {
-    overlay_->unlink_shortcut(at, dead);
-  }
   void repair_entry(NodeIndex, std::size_t) override {}
-
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    LinkAuditCounts a;
-    const auto& arena = overlay_->arena();
-    const auto& n = overlay_->node(i);
-    a.inlinks = n.inlinks.size();
-    // Zone adjacency must be mutual (the space stays partitioned); elastic
-    // shortcuts mirror through backward fingers like the ring overlays.
-    for (const dht::NodeIndex32 c :
-         n.table.entry(can::kAdjacencyEntry).candidates(arena.cands)) {
-      if (!overlay_->node(c).alive) continue;
-      if (!overlay_->node(c).table.entry(can::kAdjacencyEntry).contains(
-              arena.cands, i))
-        ++a.missing_backward;
-    }
-    for (const dht::NodeIndex32 c :
-         n.table.entry(can::kShortcutEntry).candidates(arena.cands)) {
-      if (!overlay_->node(c).alive) continue;
-      if (!overlay_->node(c).inlinks.contains(arena.fingers, i))
-        ++a.missing_backward;
-    }
-    for (const auto& f : n.inlinks.fingers(arena.fingers)) {
-      if (!overlay_->node(f.node).alive) continue;
-      if (!overlay_->node(f.node).table.entry(can::kShortcutEntry).contains(
-              arena.cands, i))
-        ++a.missing_forward;
-    }
-    return a;
-  }
-  void check_structure() const override { overlay_->check_invariants(); }
 
   std::uint64_t key_space() const override { return std::uint64_t{1} << 32; }
   NodeIndex responsible(std::uint64_t key) const override {
     return overlay_->responsible(to_point(key));
   }
-  void start_query(std::size_t) override {}
-  HopStep route_step(std::size_t, NodeIndex cur, std::uint64_t key,
+  HopStep route_step(NodeIndex cur, std::uint64_t key, RouteCtxBlob&,
                      dht::RouteScratch& scratch) override {
-    const dht::RouteStepInfo s =
-        overlay_->route_step(cur, to_point(key), scratch);
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < can::kNumEntries ? s.entry_index : kNoSlot;
-    return h;
+    return hop(cur, overlay_->route_step(cur, to_point(key), scratch));
   }
   std::uint64_t logical_distance_to_key(NodeIndex a,
                                         std::uint64_t key) const override {
     return static_cast<std::uint64_t>(
         can::zone_distance(overlay_->node(a).zone, to_point(key)) * 1e9);
-  }
-  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
-    if (slot == kNoSlot) return nullptr;
-    return &const_cast<dht::ElasticTable&>(overlay_->node(i).table).entry(slot);
   }
   NodeIndex live_successor(NodeIndex i) const override {
     // Owner of the (departed) node's zone center after takeover.
@@ -509,249 +290,6 @@ class CanSubstrate final : public SubstrateOps {
   NodeIndex node_at_or_after(std::uint64_t lv) const override {
     return overlay_->responsible(to_point(lv & 0xFFFFFFFFull));
   }
-
-  void set_trace(trace::TraceSink* sink) override {
-    overlay_->set_trace(sink);
-  }
-  void set_meter(wire::ByteMeter* meter) override {
-    overlay_->set_meter(meter);
-  }
-
- private:
-  std::unique_ptr<can::Overlay> overlay_;
-};
-
-class KademliaSubstrate final : public SubstrateOps {
- public:
-  KademliaSubstrate(const SimParams& params, bool capacity_biased,
-                    bool enforce_bounds, std::size_t ids_needed,
-                    kademlia::Overlay::PhysDistFn phys) {
-    kademlia::KademliaOptions opts;
-    opts.enforce_indegree_bounds = enforce_bounds;
-    opts.capacity_biased = capacity_biased;
-    const int bits = substrate_ring_bits(ids_needed);
-    opts.bits = bits;
-    (void)params;
-    overlay_ = std::make_unique<kademlia::Overlay>(opts, std::move(phys));
-  }
-
-  NodeIndex add_node(Rng& rng, double capacity, int max_indegree,
-                     double beta) override {
-    return overlay_->add_node_random(rng, capacity, max_indegree, beta);
-  }
-  void begin_bulk_join(std::size_t expected_nodes) override {
-    overlay_->begin_bulk_insert(expected_nodes);
-  }
-  void end_bulk_join() override { overlay_->end_bulk_insert(); }
-  void build_table(NodeIndex i, Rng& rng) override {
-    overlay_->build_table(i, rng);
-  }
-  bool id_space_full() const override {
-    return overlay_->directory().size() >= overlay_->ring_size();
-  }
-  void fail(NodeIndex i) override { overlay_->fail(i); }
-  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
-  std::size_t num_slots() const override { return overlay_->num_slots(); }
-
-  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
-    return overlay_->expand_indegree(i, want, probes);
-  }
-  int shed_indegree(NodeIndex i, int count) override {
-    return overlay_->shed_indegree(i, count);
-  }
-  core::IndegreeBudget& budget(NodeIndex i) override {
-    return overlay_->mutable_node(i).budget;
-  }
-  std::size_t indegree(NodeIndex i) const override {
-    return overlay_->node(i).inlinks.size();
-  }
-  std::size_t outdegree(NodeIndex i) const override {
-    return overlay_->node(i).table.outdegree();
-  }
-
-  void purge_dead(NodeIndex at, NodeIndex dead) override {
-    overlay_->purge_dead(at, dead);
-  }
-  void repair_entry(NodeIndex i, std::size_t slot) override {
-    if (slot != kNoSlot) overlay_->repair_entry(i, slot);
-  }
-
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    return audit_links_ring(*overlay_, i);
-  }
-  void check_structure() const override { overlay_->check_invariants(); }
-
-  std::uint64_t key_space() const override { return overlay_->ring_size(); }
-  NodeIndex responsible(std::uint64_t key) const override {
-    return overlay_->responsible(key);
-  }
-  void start_query(std::size_t) override {}
-  HopStep route_step(std::size_t, NodeIndex cur, std::uint64_t key,
-                     dht::RouteScratch& scratch) override {
-    const dht::RouteStepInfo s = overlay_->route_step(cur, key, scratch);
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < overlay_->node(cur).table.num_entries()
-                 ? s.entry_index
-                 : kNoSlot;
-    return h;
-  }
-  std::uint64_t logical_distance_to_key(NodeIndex a,
-                                        std::uint64_t key) const override {
-    return overlay_->logical_distance_to_key(a, key);
-  }
-  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
-    if (slot == kNoSlot) return nullptr;
-    return &overlay_->mutable_node(i).table.entry(slot);
-  }
-  NodeIndex live_successor(NodeIndex i) const override {
-    // Kademlia's hand-off target is by ownership metric: the alive node
-    // XOR-closest to the dead node's id.
-    return overlay_->responsible(overlay_->node(i).id);
-  }
-  NodeIndex node_at_or_after(std::uint64_t lv) const override {
-    return overlay_->directory().successor(lv & (overlay_->ring_size() - 1));
-  }
-
-  void set_trace(trace::TraceSink* sink) override {
-    overlay_->set_trace(sink);
-  }
-  void set_meter(wire::ByteMeter* meter) override {
-    overlay_->set_meter(meter);
-  }
-
- private:
-  std::unique_ptr<kademlia::Overlay> overlay_;
-};
-
-class D1htSubstrate final : public SubstrateOps {
- public:
-  D1htSubstrate(const SimParams& params, bool enforce_bounds,
-                std::size_t ids_needed, d1ht::Overlay::PhysDistFn phys) {
-    d1ht::D1htOptions opts;
-    opts.enforce_indegree_bounds = enforce_bounds;
-    const int bits = substrate_ring_bits(ids_needed);
-    opts.bits = bits;
-    (void)params;
-    overlay_ = std::make_unique<d1ht::Overlay>(opts, std::move(phys));
-  }
-
-  NodeIndex add_node(Rng& rng, double capacity, int max_indegree,
-                     double beta) override {
-    return overlay_->add_node_random(rng, capacity, max_indegree, beta);
-  }
-  void begin_bulk_join(std::size_t expected_nodes) override {
-    overlay_->begin_bulk_insert(expected_nodes);
-  }
-  void end_bulk_join() override { overlay_->end_bulk_insert(); }
-  void build_table(NodeIndex i, Rng& rng) override {
-    (void)rng;
-    overlay_->build_table(i);
-  }
-  bool id_space_full() const override {
-    return overlay_->directory().size() >= overlay_->ring_size();
-  }
-  void fail(NodeIndex i) override { overlay_->fail(i); }
-  bool alive(NodeIndex i) const override { return overlay_->node(i).alive; }
-  std::size_t num_slots() const override { return overlay_->num_slots(); }
-
-  int expand_indegree(NodeIndex i, int want, std::size_t probes) override {
-    return overlay_->expand_indegree(i, want, probes);
-  }
-  int shed_indegree(NodeIndex i, int count) override {
-    return overlay_->shed_indegree(i, count);
-  }
-  core::IndegreeBudget& budget(NodeIndex i) override {
-    return overlay_->mutable_node(i).budget;
-  }
-  std::size_t indegree(NodeIndex i) const override {
-    // Mandatory full-mesh inlinks plus elastic successor inlinks: the load
-    // metrics should see the O(n) state even though only the elastic part
-    // is budget-governed.
-    return overlay_->node(i).table.entry(d1ht::kFullTableEntry).size() +
-           overlay_->node(i).inlinks.size();
-  }
-  std::size_t outdegree(NodeIndex i) const override {
-    return overlay_->node(i).table.outdegree();
-  }
-
-  void purge_dead(NodeIndex at, NodeIndex dead) override {
-    overlay_->purge_dead(at, dead);
-  }
-  void repair_entry(NodeIndex i, std::size_t slot) override {
-    if (slot != kNoSlot) overlay_->repair_entry(i, slot);
-  }
-
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    LinkAuditCounts a;
-    const auto& arena = overlay_->arena();
-    const auto& n = overlay_->node(i);
-    a.inlinks = n.inlinks.size();
-    // The full mesh must be mutual (like CAN zone adjacency) but is not
-    // budget-governed; elastic successor links mirror through backward
-    // fingers like the ring overlays.
-    for (const dht::NodeIndex32 c :
-         n.table.entry(d1ht::kFullTableEntry).candidates(arena.cands)) {
-      if (!overlay_->node(c).alive) continue;
-      if (!overlay_->node(c).table.entry(d1ht::kFullTableEntry).contains(
-              arena.cands, i))
-        ++a.missing_backward;
-    }
-    for (const dht::NodeIndex32 c :
-         n.table.entry(d1ht::kSuccessorEntry).candidates(arena.cands)) {
-      if (!overlay_->node(c).alive) continue;
-      if (!overlay_->node(c).inlinks.contains(arena.fingers, i))
-        ++a.missing_backward;
-    }
-    for (const auto& f : n.inlinks.fingers(arena.fingers)) {
-      if (!overlay_->node(f.node).alive) continue;
-      if (!overlay_->node(f.node)
-               .table.entry(d1ht::kSuccessorEntry)
-               .contains(arena.cands, i))
-        ++a.missing_forward;
-    }
-    return a;
-  }
-  void check_structure() const override { overlay_->check_invariants(); }
-
-  std::uint64_t key_space() const override { return overlay_->ring_size(); }
-  NodeIndex responsible(std::uint64_t key) const override {
-    return overlay_->responsible(key);
-  }
-  void start_query(std::size_t) override {}
-  HopStep route_step(std::size_t, NodeIndex cur, std::uint64_t key,
-                     dht::RouteScratch& scratch) override {
-    const dht::RouteStepInfo s = overlay_->route_step(cur, key, scratch);
-    HopStep h;
-    h.arrived = s.arrived;
-    h.slot = s.entry_index < d1ht::kNumEntries ? s.entry_index : kNoSlot;
-    return h;
-  }
-  std::uint64_t logical_distance_to_key(NodeIndex a,
-                                        std::uint64_t key) const override {
-    return overlay_->logical_distance_to_key(a, key);
-  }
-  dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
-    if (slot == kNoSlot) return nullptr;
-    return &overlay_->mutable_node(i).table.entry(slot);
-  }
-  NodeIndex live_successor(NodeIndex i) const override {
-    return overlay_->directory().successor(
-        (overlay_->node(i).id + 1) & (overlay_->ring_size() - 1));
-  }
-  NodeIndex node_at_or_after(std::uint64_t lv) const override {
-    return overlay_->directory().successor(lv & (overlay_->ring_size() - 1));
-  }
-
-  void set_trace(trace::TraceSink* sink) override {
-    overlay_->set_trace(sink);
-  }
-  void set_meter(wire::ByteMeter* meter) override {
-    overlay_->set_meter(meter);
-  }
-
- private:
-  std::unique_ptr<d1ht::Overlay> overlay_;
 };
 
 }  // namespace
@@ -774,24 +312,23 @@ std::unique_ptr<SubstrateOps> make_substrate(SubstrateKind kind,
           params, capacity_biased, enforce_bounds, ids_needed, std::move(phys));
     case SubstrateKind::kChord:
       assert(!capacity_biased && "NS policy is Cycloid-only in this build");
-      return std::make_unique<ChordSubstrate>(params, enforce_bounds,
-                                              ids_needed, std::move(phys));
+      return std::make_unique<ChordSubstrate>(enforce_bounds, ids_needed,
+                                              std::move(phys));
     case SubstrateKind::kPastry:
       assert(!capacity_biased && "NS policy is Cycloid-only in this build");
-      return std::make_unique<PastrySubstrate>(params, enforce_bounds,
-                                               ids_needed, std::move(phys));
+      return std::make_unique<PastrySubstrate>(enforce_bounds, ids_needed,
+                                               std::move(phys));
     case SubstrateKind::kCan:
       assert(!capacity_biased && "NS policy is Cycloid-only in this build");
-      return std::make_unique<CanSubstrate>(params, enforce_bounds,
-                                            std::move(phys));
+      return std::make_unique<CanSubstrate>(enforce_bounds, std::move(phys));
     case SubstrateKind::kKademlia:
       return std::make_unique<KademliaSubstrate>(
-          params, capacity_biased, enforce_bounds, ids_needed, std::move(phys));
+          capacity_biased, enforce_bounds, ids_needed, std::move(phys));
     case SubstrateKind::kD1ht:
       assert(!capacity_biased &&
              "NS is undefined on a full mesh: no selection freedom");
-      return std::make_unique<D1htSubstrate>(params, enforce_bounds,
-                                             ids_needed, std::move(phys));
+      return std::make_unique<D1htSubstrate>(enforce_bounds, ids_needed,
+                                             std::move(phys));
   }
   return nullptr;
 }

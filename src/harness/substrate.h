@@ -8,22 +8,21 @@
 // figure can be regenerated per substrate.
 //
 // One adapter instance wraps one overlay instance. Per-query routing state
-// (Cycloid's monotone phase) is stored inside the adapter keyed by query
-// id, keeping the engine substrate-agnostic.
+// (Cycloid's monotone phase) travels with the query in a caller-held
+// RouteCtxBlob, keeping the engine substrate-agnostic.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
-#include <vector>
-
-#include <functional>
 
 #include "common/config.h"
 #include "common/rng.h"
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
 #include "dht/types.h"
+#include "ert/elastic_links.h"
 #include "ert/indegree.h"
 
 namespace ert::cycloid {
@@ -67,16 +66,7 @@ struct HopStep {
   std::size_t slot = kNoSlot;
 };
 
-/// Per-node link bookkeeping summary for the invariant auditor: the elastic
-/// inlink count (backward fingers) and how many links lack their mirror.
-/// Mandatory symmetric structure (CAN zone adjacency) is folded into the
-/// missing_* counts but not into `inlinks`, which tracks exactly what the
-/// indegree budget governs.
-struct LinkAuditCounts {
-  std::size_t inlinks = 0;           ///< backward fingers (budget-governed).
-  std::size_t missing_backward = 0;  ///< outlinks without a mirror finger.
-  std::size_t missing_forward = 0;   ///< fingers without a mirror outlink.
-};
+using core::LinkAuditCounts;
 
 class SubstrateOps {
  public:
@@ -125,32 +115,18 @@ class SubstrateOps {
   // --- routing ---
   virtual std::uint64_t key_space() const = 0;
   virtual dht::NodeIndex responsible(std::uint64_t key) const = 0;
-  /// `qid` selects the per-query routing context; call start_query first.
-  /// Writes the candidate set into `scratch.candidates` (allocation-free
-  /// in steady state).
-  virtual HopStep route_step(std::size_t qid, dht::NodeIndex cur,
-                             std::uint64_t key,
-                             dht::RouteScratch& scratch) = 0;
-  virtual void start_query(std::size_t qid) = 0;
-  /// Releases the per-query routing context once the lookup completes,
-  /// drops, or fails; qids are never reused. Default: stateless substrate.
-  virtual void finish_query(std::size_t qid) { (void)qid; }
-
-  /// Caller-held per-query routing context for the sharded engine, which
-  /// cannot use the qid-keyed start/finish protocol (queries migrate
-  /// between shards, and the adapter-side ctx map would be shared mutable
-  /// state). Zero-initialized bytes must mean "query just started".
+  /// Per-query routing context, held by the caller and carried with the
+  /// query (it migrates between shards with it). Zero-initialized bytes
+  /// mean "query just started".
   struct RouteCtxBlob {
     unsigned char bytes[8] = {};
   };
-  /// Context-carrying variant of route_step. Stateless substrates ignore
-  /// the blob; Cycloid stores its monotone routing phase in it. The engine
-  /// must use exactly one of the two protocols per query.
+  /// One routing hop. Stateless substrates ignore `ctx`; Cycloid stores its
+  /// monotone routing phase in it. Writes the candidate set into
+  /// `scratch.candidates` (allocation-free in steady state).
   virtual HopStep route_step(dht::NodeIndex cur, std::uint64_t key,
-                             RouteCtxBlob& ctx, dht::RouteScratch& scratch) {
-    (void)ctx;
-    return route_step(0, cur, key, scratch);
-  }
+                             RouteCtxBlob& ctx,
+                             dht::RouteScratch& scratch) = 0;
   virtual std::uint64_t logical_distance_to_key(dht::NodeIndex a,
                                                 std::uint64_t key) const = 0;
   /// Mutable access to a table entry (memory slot for Algorithm 4);

@@ -22,12 +22,10 @@
 // covers exactly the ids closer than 2^msb to the key, so any contact there
 // strictly shrinks the distance; lower buckets clear lower set bits when it
 // is empty. The indegree-budget, backward-finger, and shed/expand mechanics
-// mirror the Chord overlay one-for-one.
+// come from core::ElasticLinks, as for every substrate.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/bitops.h"
@@ -35,17 +33,8 @@
 #include "dht/ring.h"
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
-#include "dht/stamp_set.h"
 #include "dht/types.h"
-#include "ert/indegree.h"
-
-namespace ert::trace {
-class TraceSink;
-}
-
-namespace ert::wire {
-class ByteMeter;
-}
+#include "ert/elastic_links.h"
 
 namespace ert::kademlia {
 
@@ -63,22 +52,13 @@ struct KademliaOptions {
   bool capacity_biased = false;
 };
 
-struct KademliaNode {
+/// Table entries: [0, bits) k-buckets.
+struct KademliaNode : core::ElasticNode {
   std::uint64_t id = 0;
-  bool alive = false;
-  bool table_built = false;
-  double capacity = 1.0;
-  dht::ElasticTable table;  ///< entries: [0, bits) k-buckets.
-  core::IndegreeBudget budget;
-  core::BackwardFingerList inlinks;
 };
 
-using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
-
-class Overlay {
+class Overlay : public core::ElasticLinks<Overlay, KademliaNode> {
  public:
-  using PhysDistFn = std::function<double(dht::NodeIndex, dht::NodeIndex)>;
-
   explicit Overlay(KademliaOptions opts, PhysDistFn phys_dist = {});
 
   dht::NodeIndex add_node(std::uint64_t id, double capacity, int max_indegree,
@@ -89,17 +69,6 @@ class Overlay {
   /// Discovers contacts through a KBucketTable and materializes them into
   /// the elastic entries. `rng` drives the dense-interval sampling.
   void build_table(dht::NodeIndex i, Rng& rng);
-
-  int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
-  int shed_indegree(dht::NodeIndex i, int count);
-  void leave_graceful(dht::NodeIndex i);
-
-  /// Silent failure: stale contacts to `i` remain until discovered
-  /// (timeouts), matching Kademlia's lazy eviction.
-  void fail(dht::NodeIndex i);
-
-  /// Purges a discovered-dead neighbor from `at`'s table and inlinks.
-  void purge_dead(dht::NodeIndex at, dht::NodeIndex dead);
 
   /// Refills bucket `slot` of `i` from the directory if it has no live
   /// contact left.
@@ -119,23 +88,13 @@ class Overlay {
 
   /// Hosts that could adopt `i` as an extra bucket contact: the occupants
   /// of i's bucket intervals, closest levels first (their low buckets are
-  /// the sparse ones with room).
-  std::vector<ExpansionTarget> expansion_targets(dht::NodeIndex i,
-                                                 std::size_t max_targets) const;
+  /// the sparse ones with room). Writes up to `max_targets` into `out`.
+  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                              std::vector<core::ExpansionTarget>& out) const;
 
-  bool link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
-            bool respect_budget);
-  bool unlink(dht::NodeIndex from, dht::NodeIndex to);
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;
 
-  const KademliaNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
-  KademliaNode& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
-
-  core::LinkArena& arena() { return arena_; }
-  const core::LinkArena& arena() const { return arena_; }
-  std::size_t num_slots() const { return nodes_.size(); }
-  std::size_t alive_count() const { return alive_; }
   const dht::RingDirectory& directory() const { return directory_; }
 
   void begin_bulk_insert(std::size_t expected) {
@@ -149,12 +108,16 @@ class Overlay {
 
   std::uint64_t logical_distance(dht::NodeIndex a, dht::NodeIndex b) const;
 
-  void check_invariants() const;
-
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
-  void set_meter(wire::ByteMeter* meter) { meter_ = meter; }
-
  private:
+  friend class core::ElasticLinks<Overlay, KademliaNode>;
+  std::size_t slot_cap(std::size_t) const { return opts_.bucket_spread; }
+  /// Kademlia's replacement rule at the elastic cap: a full bucket drops a
+  /// contact only once it has stopped responding; live long-standing
+  /// contacts are never displaced by newcomers.
+  bool make_room(dht::NodeIndex from, std::size_t slot);
+  void erase_member(dht::NodeIndex i) { directory_.erase(nodes_[i].id); }
+  void check_geometry() const;
+
   /// Aligned base of `me`'s bucket-m interval: the 2^m ids whose XOR
   /// distance to `me` has msb m.
   std::uint64_t bucket_base(std::uint64_t me, int m) const {
@@ -166,25 +129,13 @@ class Overlay {
                              std::uint64_t from) const;
   bool interval_occupied(std::uint64_t lo, std::uint64_t len) const;
   dht::NodeIndex xor_closest(std::uint64_t key) const;
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<ExpansionTarget>& out) const;
 
   KademliaOptions opts_;
-  PhysDistFn phys_dist_;
   dht::RingDirectory directory_;
-  std::vector<KademliaNode> nodes_;
-  std::size_t alive_ = 0;
-  trace::TraceSink* trace_ = nullptr;
-  wire::ByteMeter* meter_ = nullptr;
-  core::LinkArena arena_;
   // Warm scratch for the mutation paths (build, repair, adaptation) so the
   // steady-state sweeps allocate nothing once capacities settle.
   mutable std::vector<std::uint64_t> ids_scratch_;
   std::vector<dht::NodeIndex> cand_scratch_;
-  std::vector<ExpansionTarget> targets_scratch_;
-  mutable dht::StampSet inlink_seen_;  ///< expansion_targets_into() only.
-  std::vector<core::BackwardFinger> evict_scratch_;
-  std::vector<dht::NodeIndex> evict_out_;
 };
 
 }  // namespace ert::kademlia

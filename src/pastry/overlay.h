@@ -14,25 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "dht/ring.h"
 #include "dht/route_scratch.h"
 #include "dht/routing_entry.h"
-#include "dht/stamp_set.h"
 #include "dht/types.h"
-#include "ert/indegree.h"
-
-namespace ert::trace {
-class TraceSink;
-}
-
-namespace ert::wire {
-class ByteMeter;
-}
+#include "ert/elastic_links.h"
 
 namespace ert::pastry {
 
@@ -46,16 +35,10 @@ struct PastryOptions {
   bool proximity_neighbor_selection = true;  ///< Pastry's PNS.
 };
 
-struct PastryNode {
+/// Table entries: rows * (2^b) prefix slots (own-digit columns stay empty),
+/// then one leaf entry. Slot (r, v) = r * 2^b + v.
+struct PastryNode : core::ElasticNode {
   std::uint64_t id = 0;
-  bool alive = false;
-  bool table_built = false;
-  double capacity = 1.0;
-  /// Entries: rows * (2^b) prefix slots (own-digit columns stay empty),
-  /// then one leaf entry. Slot (r, v) = r * 2^b + v.
-  dht::ElasticTable table;
-  core::IndegreeBudget budget;
-  core::BackwardFingerList inlinks;
 };
 
 struct RouteStep {
@@ -64,12 +47,8 @@ struct RouteStep {
   std::vector<dht::NodeIndex> candidates;
 };
 
-using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
-
-class Overlay {
+class Overlay : public core::ElasticLinks<Overlay, PastryNode> {
  public:
-  using PhysDistFn = std::function<double(dht::NodeIndex, dht::NodeIndex)>;
-
   explicit Overlay(PastryOptions opts, PhysDistFn phys_dist = {});
 
   dht::NodeIndex add_node(std::uint64_t id, double capacity, int max_indegree,
@@ -77,16 +56,6 @@ class Overlay {
   dht::NodeIndex add_node_random(Rng& rng, double capacity, int max_indegree,
                                  double beta);
   void build_table(dht::NodeIndex i);
-
-  int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
-  int shed_indegree(dht::NodeIndex i, int count);
-  void leave_graceful(dht::NodeIndex i);
-
-  /// Silent failure: stale links to `i` remain until discovered (timeouts).
-  void fail(dht::NodeIndex i);
-
-  /// Purges a discovered-dead neighbor from `at`'s table and inlinks.
-  void purge_dead(dht::NodeIndex at, dht::NodeIndex dead);
 
   /// Refills `slot` of `i` from the directory if it has no live candidate.
   void repair_entry(dht::NodeIndex i, std::size_t slot);
@@ -103,24 +72,15 @@ class Overlay {
   std::uint64_t logical_distance_to_key(dht::NodeIndex a,
                                         std::uint64_t key) const;
 
-  std::vector<ExpansionTarget> expansion_targets(dht::NodeIndex i,
-                                                 std::size_t max_targets) const;
+  /// Hosts that could adopt `i`: those sharing exactly r digits with it
+  /// (at row r, deep prefixes first), then its ring neighbours (leaf set).
+  /// Writes up to `max_targets` into `out`.
+  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                              std::vector<core::ExpansionTarget>& out) const;
 
-  bool link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
-            bool respect_budget);
-  bool unlink(dht::NodeIndex from, dht::NodeIndex to);
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;
 
-  const PastryNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
-  PastryNode& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
-
-  /// Backing store for all pooled candidate / backward-finger sets
-  /// (dht/slab.h); every table or inlink operation threads through it.
-  core::LinkArena& arena() { return arena_; }
-  const core::LinkArena& arena() const { return arena_; }
-  std::size_t num_slots() const { return nodes_.size(); }
-  std::size_t alive_count() const { return alive_; }
   const dht::RingDirectory& directory() const { return directory_; }
 
   /// Batched construction: between these calls, add_node stages directory
@@ -147,36 +107,24 @@ class Overlay {
   int shared_digits(std::uint64_t a, std::uint64_t b) const;
 
   std::uint64_t logical_distance(dht::NodeIndex a, dht::NodeIndex b) const;
-  void check_invariants() const;
-
-  /// Installs a structured-trace sink for the ERT elasticity path
-  /// (link.adopt / link.shed from expand_indegree / shed_indegree); null
-  /// disables emission. Observes only. See docs/TRACING.md.
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
-  void set_meter(wire::ByteMeter* meter) { meter_ = meter; }
 
  private:
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<ExpansionTarget>& out) const;
+  friend class core::ElasticLinks<Overlay, PastryNode>;
+  /// The leaf set is unbounded; a prefix entry holds entry_spread.
+  std::size_t slot_cap(std::size_t slot) const {
+    return slot == leaf_entry() ? ElasticLinks::slot_cap(slot)
+                                : opts_.entry_spread;
+  }
+  void erase_member(dht::NodeIndex i) { directory_.erase(nodes_[i].id); }
 
   PastryOptions opts_;
-  PhysDistFn phys_dist_;
   dht::RingDirectory directory_;
-  std::vector<PastryNode> nodes_;
-  std::size_t alive_ = 0;
-  trace::TraceSink* trace_ = nullptr;
-  wire::ByteMeter* meter_ = nullptr;
-  core::LinkArena arena_;
   // Warm scratch for the steady-state mutation paths (build, repair,
   // shed/grow). Two id buffers because callers iterate one while
   // link() -> eligible() fills the other.
   mutable std::vector<std::uint64_t> ids_scratch_;
   mutable std::vector<std::uint64_t> elig_scratch_;
   std::vector<dht::NodeIndex> build_cands_;
-  mutable std::vector<ExpansionTarget> targets_scratch_;
-  mutable dht::StampSet inlink_seen_;  ///< expansion_targets_into() only.
-  std::vector<core::BackwardFinger> evict_scratch_;
-  std::vector<dht::NodeIndex> evict_out_;
 };
 
 }  // namespace ert::pastry

@@ -111,7 +111,6 @@ struct Driver {
   core::ForwardScratch fwd_scratch;
   core::OverloadedSet overloaded;
   Rng rng;
-  std::size_t next_qid = 0;
   // Filled during the counting window, checked by gtest afterwards (EXPECT
   // itself allocates, so no asserts inside the window).
   std::size_t completed = 0;
@@ -164,13 +163,12 @@ struct Driver {
       return r;
     };
     for (int q = 0; q < count; ++q) {
-      const std::size_t qid = next_qid++;
       NodeIndex cur = rng.index(sub->num_slots());
       const std::uint64_t key = rng.bits() % sub->key_space();
-      sub->start_query(qid);
+      SubstrateOps::RouteCtxBlob ctx;
       overloaded.clear();
       for (int hop = 0; hop < 128; ++hop) {
-        const HopStep step = sub->route_step(qid, cur, key, route_scratch);
+        const HopStep step = sub->route_step(cur, key, ctx, route_scratch);
         if (step.arrived) {
           ++completed;
           break;
@@ -195,7 +193,6 @@ struct Driver {
         cur = next;
         ++hops;
       }
-      sub->finish_query(qid);
     }
   }
 };

@@ -123,7 +123,9 @@ TEST(Pastry, ExpansionRaisesIndegree) {
 TEST(Pastry, ExpansionTargetsDivergeAtClaimedRow) {
   Overlay o = make(300, 8);
   const NodeIndex i = 20;
-  for (const auto& [host, slot] : o.expansion_targets(i, 128)) {
+  std::vector<core::ExpansionTarget> targets;
+  o.expansion_targets_into(i, 128, targets);
+  for (const auto& [host, slot] : targets) {
     if (slot == o.leaf_entry()) continue;
     const int row = static_cast<int>(slot) / o.base();
     const int col = static_cast<int>(slot) % o.base();
