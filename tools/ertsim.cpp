@@ -94,14 +94,22 @@
 //                        (schema ert.scenario.report.v1; tools/scenariocat
 //                        pretty-prints, validates, and diffs it)
 //
-// Exit code 0 on success, 3 when --audit (or a scenario matrix) found
-// invariant violations, 4 when --model-check found a model mismatch;
-// prints a one-screen report.
+// Every numeric value (flags and --faults keys) must be a whole, in-range
+// number: anything else prints "ertsim: error: --<flag>: ..." and exits 2.
+//
+// Exit code 0 on success, 2 on bad input, 3 when --audit (or a scenario
+// matrix) found invariant violations, 4 when --model-check found a model
+// mismatch; prints a one-screen report.
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.h"
@@ -141,6 +149,61 @@ using ert::harness::SubstrateKind;
   std::exit(2);
 }
 
+[[noreturn]] void bad_value(std::string_view flag, const std::string& want,
+                            std::string_view got) {
+  std::fprintf(stderr, "ertsim: error: %.*s: wants %s, got '%.*s'\n",
+               static_cast<int>(flag.size()), flag.data(), want.c_str(),
+               static_cast<int>(got.size()), got.data());
+  std::exit(2);
+}
+
+template <typename T>
+std::string num_str(T v) {
+  if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return buf;
+  }
+}
+
+/// Checked numeric parse: all of `text` must be one number of type T in
+/// [lo, hi], or (lo, hi] when `lo_open`. Anything else (garbage, a
+/// trailing suffix, an empty token, NaN or infinity, out of range) is a
+/// named error and exit 2, never a silent 0 or a crash further on.
+template <typename T>
+T parse_num(std::string_view flag, std::string_view text, T lo,
+            T hi = std::numeric_limits<T>::max(), bool lo_open = false) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec == std::errc() && end == last && (lo_open ? v > lo : v >= lo) &&
+      v <= hi)
+    return v;
+  std::string want = std::is_integral_v<T> ? "an integer " : "a number ";
+  if (hi == std::numeric_limits<T>::max())
+    want += (lo_open ? "> " : ">= ") + num_str(lo);
+  else
+    want += (lo_open ? "in (" : "in [") + num_str(lo) + ", " + num_str(hi) +
+            "]";
+  bad_value(flag, want, text);
+}
+
+double parse_positive(std::string_view flag, std::string_view text) {
+  return parse_num(flag, text, 0.0, std::numeric_limits<double>::max(),
+                   /*lo_open=*/true);
+}
+
+/// Splits "A:B" for `flag` into its two halves.
+std::pair<std::string_view, std::string_view> split_pair(std::string_view flag,
+                                                          std::string_view v,
+                                                          const char* shape) {
+  const std::size_t colon = v.find(':');
+  if (colon == std::string_view::npos) bad_value(flag, shape, v);
+  return {v.substr(0, colon), v.substr(colon + 1)};
+}
+
 /// Parses "drop=0.01,dup=0.005,crash=5:32,crash=20:16,retries=4".
 ert::harness::FaultPlan parse_faults(const std::string& spec) {
   ert::harness::FaultPlan plan;
@@ -154,18 +217,18 @@ ert::harness::FaultPlan parse_faults(const std::string& spec) {
     if (eq == std::string::npos) usage("--faults token wants key=value");
     const std::string key = tok.substr(0, eq);
     const std::string val = tok.substr(eq + 1);
-    if (key == "drop") plan.drop_prob = std::strtod(val.c_str(), nullptr);
-    else if (key == "delay") plan.delay_prob = std::strtod(val.c_str(), nullptr);
-    else if (key == "dup") plan.dup_prob = std::strtod(val.c_str(), nullptr);
-    else if (key == "timeout") plan.retry_timeout = std::strtod(val.c_str(), nullptr);
-    else if (key == "retries") plan.max_retries = std::atoi(val.c_str());
-    else if (key == "backoff") plan.retry_backoff = std::strtod(val.c_str(), nullptr);
+    const std::string flag = "--faults " + key;
+    if (key == "drop") plan.drop_prob = parse_num(flag, val, 0.0, 1.0);
+    else if (key == "delay") plan.delay_prob = parse_num(flag, val, 0.0, 1.0);
+    else if (key == "dup") plan.dup_prob = parse_num(flag, val, 0.0, 1.0);
+    else if (key == "timeout") plan.retry_timeout = parse_positive(flag, val);
+    else if (key == "retries") plan.max_retries = parse_num(flag, val, 0, 64);
+    else if (key == "backoff") plan.retry_backoff = parse_num(flag, val, 1.0);
     else if (key == "crash") {
-      const std::size_t colon = val.find(':');
-      if (colon == std::string::npos) usage("--faults crash wants T:N");
+      const auto [t, n] = split_pair(flag, val, "T:N");
       ert::harness::CrashWave wave;
-      wave.time = std::strtod(val.c_str(), nullptr);
-      wave.count = std::strtoul(val.c_str() + colon + 1, nullptr, 10);
+      wave.time = parse_num(flag, t, 0.0);
+      wave.count = parse_num<std::size_t>(flag, n, 1);
       plan.crash_waves.push_back(wave);
     } else {
       usage(("unknown --faults key " + key).c_str());
@@ -245,74 +308,63 @@ int main(int argc, char** argv) {
       substrate_set = true;
     }
     else if (a == "--nodes") {
-      p.num_nodes = std::strtoul(need(i), nullptr, 10);
+      // Overlays address nodes with 32-bit indices (dht/types.h).
+      p.num_nodes = parse_num<std::size_t>(a, need(i), 1, UINT32_MAX);
       nodes_set = true;
     }
     else if (a == "--lookups") {
-      p.num_lookups = std::strtoul(need(i), nullptr, 10);
+      p.num_lookups = parse_num<std::size_t>(a, need(i), 0);
       lookups_set = true;
     }
     else if (a == "--rate") {
-      p.lookup_rate = std::strtod(need(i), nullptr);
+      p.lookup_rate = parse_positive(a, need(i));
       rate_set = true;
     }
-    else if (a == "--seed") p.seed = std::strtoull(need(i), nullptr, 10);
-    else if (a == "--seeds") seeds = std::atoi(need(i));
-    else if (a == "--threads") threads = std::atoi(need(i));
-    else if (a == "--sim-threads") {
-      p.sim_threads = std::atoi(need(i));
-      if (p.sim_threads < 1) usage("--sim-threads wants N >= 1");
-    }
+    else if (a == "--seed") p.seed = parse_num<std::uint64_t>(a, need(i), 0);
+    else if (a == "--seeds") seeds = parse_num(a, need(i), 1);
+    else if (a == "--threads") threads = parse_num(a, need(i), 0, 256);
+    else if (a == "--sim-threads") p.sim_threads = parse_num(a, need(i), 1, 256);
     else if (a == "--churn") {
-      p.churn_interarrival = std::strtod(need(i), nullptr);
+      p.churn_interarrival = parse_num(a, need(i), 0.0);
       churn_set = true;
     }
     else if (a == "--impulse") {
-      const char* v = need(i);
-      const char* colon = std::strchr(v, ':');
-      if (!colon) usage("--impulse wants N:K");
-      p.impulse_nodes = std::strtoul(v, nullptr, 10);
-      p.impulse_keys = std::strtoul(colon + 1, nullptr, 10);
+      const auto [n, k] = split_pair(a, need(i), "N:K");
+      p.impulse_nodes = parse_num<std::size_t>(a, n, 1);
+      p.impulse_keys = parse_num<std::size_t>(a, k, 1);
     } else if (a == "--service") {
-      const char* v = need(i);
-      const char* colon = std::strchr(v, ':');
-      if (!colon) usage("--service wants L:H");
-      p.light_service_time = std::strtod(v, nullptr);
-      p.heavy_service_time = std::strtod(colon + 1, nullptr);
+      const auto [l, h] = split_pair(a, need(i), "L:H");
+      p.light_service_time = parse_positive(a, l);
+      p.heavy_service_time = parse_positive(a, h);
       service_set = true;
     }
     else if (a == "--queue-cap") {
-      p.queue_cap = std::strtoul(need(i), nullptr, 10);
+      p.queue_cap = parse_num<std::size_t>(a, need(i), 0);
       queue_cap_set = true;
     }
-    else if (a == "--alpha") p.alpha_override = std::strtod(need(i), nullptr);
-    else if (a == "--beta") p.beta = std::strtod(need(i), nullptr);
-    else if (a == "--mu") p.mu = std::strtod(need(i), nullptr);
-    else if (a == "--gamma-l") p.gamma_l = std::strtod(need(i), nullptr);
-    else if (a == "--poll") p.poll_size = std::atoi(need(i));
+    else if (a == "--alpha") p.alpha_override = parse_num(a, need(i), 0.0);
+    else if (a == "--beta") p.beta = parse_num(a, need(i), 0.0, 1.0, true);
+    else if (a == "--mu") p.mu = parse_num(a, need(i), 0.0, 1.0, true);
+    else if (a == "--gamma-l") p.gamma_l = parse_num(a, need(i), 1.0);
+    else if (a == "--poll") p.poll_size = parse_num(a, need(i), 1, 64);
     else if (a == "--zipf") {
-      const char* v = need(i);
-      const char* colon = std::strchr(v, ':');
-      p.zipf_catalog = std::strtoul(v, nullptr, 10);
-      p.zipf_exponent = colon ? std::strtod(colon + 1, nullptr) : 1.0;
+      const std::string_view v = need(i);
+      const std::size_t colon = v.find(':');
+      p.zipf_catalog = parse_num<std::size_t>(a, v.substr(0, colon), 1);
+      p.zipf_exponent = colon == std::string_view::npos
+                            ? 1.0
+                            : parse_num(a, v.substr(colon + 1), 0.0);
     }
-    else if (a == "--zipf-drift") p.zipf_drift_period = std::strtod(need(i), nullptr);
+    else if (a == "--zipf-drift") p.zipf_drift_period = parse_num(a, need(i), 0.0);
     else if (a == "--data-forwarding") p.data_forwarding = true;
-    else if (a == "--probe-cost") p.probe_cost = std::strtod(need(i), nullptr);
+    else if (a == "--probe-cost") p.probe_cost = parse_num(a, need(i), 0.0);
     else if (a == "--bytes") options.wire.bytes = true;
-    else if (a == "--link-rate") {
-      options.wire.link_rate = std::strtod(need(i), nullptr);
-      if (options.wire.link_rate <= 0) usage("--link-rate wants R > 0");
-    }
-    else if (a == "--link-burst") {
-      options.wire.link_burst = std::strtod(need(i), nullptr);
-      if (options.wire.link_burst <= 0) usage("--link-burst wants B > 0");
-    }
+    else if (a == "--link-rate") options.wire.link_rate = parse_positive(a, need(i));
+    else if (a == "--link-burst") options.wire.link_burst = parse_positive(a, need(i));
     else if (a == "--csv") csv = need(i);
     else if (a == "--audit") options.audit.enabled = true;
     else if (a == "--audit-sample") {
-      options.audit.sample = std::strtoul(need(i), nullptr, 10);
-      if (options.audit.sample == 0) usage("--audit-sample wants K >= 1");
+      options.audit.sample = parse_num<std::size_t>(a, need(i), 1);
       options.audit.enabled = true;
     }
     else if (a == "--scale") scale = true;
@@ -327,8 +379,7 @@ int main(int argc, char** argv) {
         usage("--trace-cats wants run,query,hop,overload,adapt,link,fault,"
               "churn or all");
     } else if (a == "--trace-cap") {
-      options.trace.capacity = std::strtoul(need(i), nullptr, 10);
-      if (options.trace.capacity == 0) usage("--trace-cap wants N >= 1");
+      options.trace.capacity = parse_num<std::size_t>(a, need(i), 1);
     }
     else if (a == "--scenario") {
       const char* file = need(i);
