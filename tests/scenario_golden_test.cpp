@@ -26,7 +26,10 @@
 namespace ert::harness {
 namespace {
 
-using GoldenCase = std::tuple<const char*, SubstrateKind>;
+// The scenario name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which ASLR moves on every run, so the
+// test names ctest discovers would differ from build to build.
+using GoldenCase = std::tuple<std::string, SubstrateKind>;
 
 SimParams golden_params() {
   SimParams p;
@@ -78,9 +81,8 @@ TEST_P(GoldenScenarioTest, MatchesCheckedInTrace) {
   ASSERT_GT(r.trace_records.size(), 0u);
   const std::string got = trace::to_jsonl(r.trace_records);
 
-  const std::string path = std::string(ERT_GOLDEN_DIR) + "/scenario_" +
-                           std::string(name) + "_" + substrate_slug(kind) +
-                           ".jsonl";
+  const std::string path = std::string(ERT_GOLDEN_DIR) + "/scenario_" + name +
+                           "_" + substrate_slug(kind) + ".jsonl";
   if (std::getenv("ERT_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << path;
@@ -137,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple("waves", SubstrateKind::kChord),
         std::make_tuple("waves", SubstrateKind::kKademlia)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              substrate_slug(std::get<1>(info.param));
     });
 

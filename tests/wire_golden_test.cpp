@@ -24,7 +24,10 @@
 namespace ert::harness {
 namespace {
 
-using GoldenCase = std::tuple<const char*, SubstrateKind>;
+// The scenario name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which ASLR moves on every run, so the
+// test names ctest discovers would differ from build to build.
+using GoldenCase = std::tuple<std::string, SubstrateKind>;
 
 SimParams golden_params() {
   SimParams p;
@@ -69,9 +72,8 @@ TEST_P(GoldenWireTest, MatchesCheckedInCapture) {
   ASSERT_FALSE(r.wire_capture.empty());
   const std::string& got = r.wire_capture;
 
-  const std::string path = std::string(ERT_GOLDEN_DIR) + "/wire_" +
-                           std::string(name) + "_" + substrate_slug(kind) +
-                           ".txt";
+  const std::string path = std::string(ERT_GOLDEN_DIR) + "/wire_" + name +
+                           "_" + substrate_slug(kind) + ".txt";
   if (std::getenv("ERT_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << path;
@@ -153,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple("flash", SubstrateKind::kCycloid),
                       std::make_tuple("waves", SubstrateKind::kChord)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              substrate_slug(std::get<1>(info.param));
     });
 
