@@ -148,8 +148,11 @@ int main(int argc, char** argv) {
     if (st == 1) continue;
     ert::SimParams sp = p;
     sp.sim_threads = st;
-    if (!ert::harness::pdes_supported(sp, proto, kind, {})) {
-      std::printf("bench_pdes: sim-threads %d unsupported, skipped\n", st);
+    if (const std::string refusal =
+            ert::harness::pdes_supported(sp, proto, kind, {});
+        !refusal.empty()) {
+      std::printf("bench_pdes: sim-threads %d unsupported (%s), skipped\n",
+                  st, refusal.c_str());
       continue;
     }
     std::printf("bench_pdes: sim-threads %d ...\n", st);

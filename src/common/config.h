@@ -14,6 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 
 namespace ert {
 
@@ -95,6 +97,23 @@ struct SimParams {
   // --- misc ---
   std::uint64_t seed = 1;
   double timeout_penalty = 0.5;  ///< seconds lost when contacting a departed node.
+
+  /// Empty when the set can run; otherwise why not. An expected workload
+  /// span num_lookups / lookup_rate beyond 1e6 adaptation periods is
+  /// refused: the periodic sweeps would tick that many times while the
+  /// arrival process sits idle (the longest checked-in config spans 750).
+  std::string validate() const {
+    constexpr double kMaxPeriods = 1e6;
+    const double span = static_cast<double>(num_lookups) / lookup_rate;
+    if (num_lookups == 0 || span <= kMaxPeriods * adapt_period) return {};
+    char buf[192];
+    std::snprintf(buf, sizeof buf,
+                  "expected workload span num_lookups / lookup_rate = %g s "
+                  "exceeds 1e6 adaptation periods (%g s); raise the lookup "
+                  "rate or lower the lookup count",
+                  span, kMaxPeriods * adapt_period);
+    return buf;
+  }
 };
 
 }  // namespace ert

@@ -4,53 +4,6 @@
 #include <cassert>
 
 namespace ert::core {
-namespace {
-
-/// Picks `k` distinct random elements from `v` (order random).
-std::vector<dht::NodeIndex> pick_random(const std::vector<dht::NodeIndex>& v,
-                                        std::size_t k, Rng& rng) {
-  std::vector<std::size_t> idx = rng.sample_indices(v.size(), k);
-  std::vector<dht::NodeIndex> out;
-  out.reserve(idx.size());
-  for (std::size_t i : idx) out.push_back(v[i]);
-  return out;
-}
-
-}  // namespace
-
-ForwardDecision forward_random(const std::vector<dht::NodeIndex>& candidates,
-                               Rng& rng) {
-  ForwardDecision d;
-  if (candidates.empty()) return d;
-  d.next = candidates[rng.index(candidates.size())];
-  return d;
-}
-
-ForwardDecision forward_b_way(const std::vector<dht::NodeIndex>& candidates,
-                              int poll_size, const ProbeFn& probe, Rng& rng) {
-  ForwardDecision d;
-  if (candidates.empty()) return d;
-  const auto polled =
-      pick_random(candidates, static_cast<std::size_t>(poll_size), rng);
-  dht::NodeIndex best = dht::kNoNode;
-  double best_load = 0.0;
-  // Probe sequentially, stopping at the first light node (Sec. 4.1: "probes
-  // the nodes in the set sequentially, until a light node is found").
-  for (dht::NodeIndex n : polled) {
-    const ProbeResult r = probe(n);
-    ++d.probes;
-    if (!r.heavy) {
-      d.next = n;
-      return d;
-    }
-    if (best == dht::kNoNode || r.load < best_load) {
-      best = n;
-      best_load = r.load;
-    }
-  }
-  d.next = best;  // all heavy: least heavily loaded option
-  return d;
-}
 
 ForwardDecision forward_topology_aware(
     dht::RoutingEntry& entry, const std::vector<dht::NodeIndex>& candidates,

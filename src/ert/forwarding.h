@@ -149,16 +149,6 @@ struct ForwardScratch {
   std::vector<dht::NodeIndex> newly_overloaded;  ///< output, see above.
 };
 
-/// Uniform random choice (no probing).
-ForwardDecision forward_random(const std::vector<dht::NodeIndex>& candidates,
-                               Rng& rng);
-
-/// b-way randomized gradient walk without memory or topology awareness:
-/// probe up to `poll_size` random candidates sequentially until a light one
-/// is found; if none, take the least loaded probed.
-ForwardDecision forward_b_way(const std::vector<dht::NodeIndex>& candidates,
-                              int poll_size, const ProbeFn& probe, Rng& rng);
-
 struct TopoForwardOptions {
   int poll_size = 2;
   bool use_memory = true;

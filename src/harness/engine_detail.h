@@ -1,13 +1,12 @@
-// Queueing and per-lookup state shared by the two experiment engines: the
-// serial single-queue Engine (experiment.cpp) and the sharded conservative
-// PDES engine (pdes_engine.cpp). The structures are templatized on the
-// query-slot type: the serial engine indexes its recycled query vector with
-// 32-bit slots (the historical layout, kept bit-identical), while the
-// sharded engine threads 64-bit packed QueryRefs (owner shard << 32 | slot)
-// through the same queues.
+// Queueing and per-lookup state of the experiment engine (harness/engine.h):
+// the query record, its 64-bit reference, the chunked query pool and the
+// per-physical-node queue. Both transports use these exact structures; the
+// inline transport simply never packs a shard other than 0 into a ref.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dht/types.h"
@@ -18,10 +17,9 @@
 
 namespace ert::harness::detail {
 
-/// A lookup in flight. Lives in a recycled slot of the engine's queries_
-/// vector (fault-free runs), so the storage scales with peak concurrency,
-/// not total lookups issued; `id` is the lookup's stable monotonic identity
-/// for traces.
+/// A lookup in flight. Lives in a recycled QueryPool slot (fault-free
+/// runs), so the storage scales with peak concurrency, not total lookups
+/// issued; `id` is the lookup's stable monotonic identity for traces.
 struct Query {
   std::uint64_t id = 0;   ///< monotonic issue number, never reused.
   std::uint64_t key = 0;
@@ -32,7 +30,7 @@ struct Query {
   std::size_t heavy_met = 0;
   std::size_t timeouts = 0;
   core::OverloadedSet overloaded;  ///< the A set of Algorithm 4.
-  /// Substrate routing context carried with the query (both engines).
+  /// Substrate routing context carried with the query.
   SubstrateOps::RouteCtxBlob rctx;
   bool done = false;
   bool returning = false;  ///< data-forwarding mode: response leg.
@@ -63,21 +61,84 @@ struct Query {
   }
 };
 
-/// FIFO of waiting query slots: a ring over a lazily grown power-of-two
+/// Packed query reference: owner shard << 32 | pool slot.
+using QueryRef = std::uint64_t;
+
+constexpr QueryRef pack_ref(int shard, std::uint32_t slot) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(shard))
+          << 32) |
+         slot;
+}
+constexpr int ref_shard(QueryRef ref) { return static_cast<int>(ref >> 32); }
+constexpr std::uint32_t ref_slot(QueryRef ref) {
+  return static_cast<std::uint32_t>(ref);
+}
+
+/// Chunked, reference-stable query storage for one shard.
+///
+/// Cross-shard safety: only the owner shard (or the quiescent coordinator)
+/// claims and releases slots, but any shard may dereference a ref it was
+/// handed. Chunks never move once allocated, and the chunk index is
+/// reserved up front so push_back never reallocates it — a remote shard
+/// walking chunks_[i] can race only with the append of a *new* pointer at a
+/// higher index, never with relocation of the ones it reads. A ref reaches
+/// a remote shard only through a window barrier, which orders the owner's
+/// chunk append before the remote dereference.
+class QueryPool {
+ public:
+  static constexpr std::uint32_t kChunkShift = 10;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+
+  void init(std::size_t max_queries) {
+    chunks_.reserve(max_queries / kChunkSize + 2);
+  }
+
+  Query& at(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
+  }
+
+  /// Settled slots are reused LIFO when `recycle` is set. Faulted runs
+  /// never recycle: a straggler copy of a settled lookup may still
+  /// dereference its slot and must keep finding done == true.
+  std::uint32_t claim(std::uint64_t id, bool recycle) {
+    if (recycle && !free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      at(slot).reset(id);
+      return slot;
+    }
+    if (size_ == chunks_.size() * kChunkSize) {
+      assert(chunks_.size() < chunks_.capacity() &&
+             "QueryPool::init sized the chunk index too small");
+      chunks_.push_back(std::make_unique<Query[]>(kChunkSize));
+    }
+    const std::uint32_t slot = size_++;
+    at(slot).id = id;
+    return slot;
+  }
+
+  void release(std::uint32_t slot) { free_.push_back(slot); }
+
+ private:
+  std::vector<std::unique_ptr<Query[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t size_ = 0;
+};
+
+/// FIFO of waiting query refs: a ring over a lazily grown power-of-two
 /// vector. An idle node costs 32 bytes here where libstdc++'s std::deque
 /// eagerly allocates a ~500-byte chunk map per instance — at 2^20 nodes
 /// that difference alone is half a gigabyte.
-template <typename Slot>
-class MiniQueueT {
+class MiniQueue {
  public:
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-  void push_back(Slot v) {
+  void push_back(QueryRef v) {
     if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & (buf_.size() - 1)] = v;
     ++size_;
   }
-  Slot front() const { return buf_[head_]; }
+  QueryRef front() const { return buf_[head_]; }
   void pop_front() {
     head_ = (head_ + 1) & (static_cast<std::uint32_t>(buf_.size()) - 1);
     --size_;
@@ -94,21 +155,20 @@ class MiniQueueT {
 
  private:
   void grow() {
-    std::vector<Slot> bigger(buf_.empty() ? 4 : buf_.size() * 2);
+    std::vector<QueryRef> bigger(buf_.empty() ? 4 : buf_.size() * 2);
     for (std::uint32_t i = 0; i < size_; ++i)
       bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
     buf_ = std::move(bigger);
     head_ = 0;
   }
 
-  std::vector<Slot> buf_;  ///< capacity always a power of two.
+  std::vector<QueryRef> buf_;  ///< capacity always a power of two.
   std::uint32_t head_ = 0;
   std::uint32_t size_ = 0;
 };
 
 /// Per physical node queueing and accounting state.
-template <typename Slot>
-struct RealNodeT {
+struct RealNode {
   /// Normalized capacity c-hat: queries the node can handle per unit
   /// period (mean 1 across the network). Congestion g = queue / c-hat, so
   /// "ideally g stays around 1" (Sec. 5) holds when each node has about
@@ -118,8 +178,8 @@ struct RealNodeT {
   bool alive = true;
   core::LoadTracker tracker;
   std::size_t in_service = 0;
-  MiniQueueT<Slot> waiting;        ///< queued query slots.
-  std::vector<Slot> serving;       ///< query slots in service.
+  MiniQueue waiting;              ///< queued query refs.
+  std::vector<QueryRef> serving;  ///< query refs in service.
   double peak_congestion = 0.0;
   int grow_backoff = 0;  ///< expansion backoff after fruitless probes.
   int grow_wait = 0;
@@ -129,9 +189,5 @@ struct RealNodeT {
   /// two nodes at once, and each node must only ever cancel its own event.
   sim::EventHandle service_ev;
 };
-
-/// The serial engine's historical instantiations.
-using MiniQueue = MiniQueueT<std::uint32_t>;
-using RealNode = RealNodeT<std::uint32_t>;
 
 }  // namespace ert::harness::detail

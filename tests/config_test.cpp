@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/log.h"
 
 namespace ert {
 namespace {
@@ -44,19 +43,6 @@ TEST(Table2, WorkloadExtrasOffByDefault) {
   EXPECT_EQ(p.poll_size, 2);  // b = 2, the supermarket knee
   EXPECT_TRUE(p.use_memory);
   EXPECT_TRUE(p.propagate_overloaded);
-}
-
-TEST(Log, LevelGate) {
-  const auto prev = log::level();
-  log::set_level(log::Level::Error);
-  EXPECT_EQ(log::level(), log::Level::Error);
-  // Nothing to assert on output without capturing stderr; the calls must
-  // simply be safe at every level.
-  log::debug("dropped %d", 1);
-  log::info("dropped %s", "x");
-  log::warn("dropped");
-  log::error("emitted %d", 2);
-  log::set_level(prev);
 }
 
 }  // namespace

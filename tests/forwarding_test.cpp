@@ -23,48 +23,6 @@ struct FakeProbe {
   }
 };
 
-TEST(ForwardRandom, EmptyCandidates) {
-  Rng rng(1);
-  EXPECT_EQ(forward_random({}, rng).next, dht::kNoNode);
-}
-
-TEST(ForwardRandom, CoversAllCandidates) {
-  Rng rng(2);
-  std::map<NodeIndex, int> hits;
-  for (int i = 0; i < 300; ++i) hits[forward_random({1, 2, 3}, rng).next]++;
-  EXPECT_EQ(hits.size(), 3u);
-  for (auto& [n, c] : hits) EXPECT_GT(c, 50);
-}
-
-TEST(ForwardBWay, StopsAtFirstLightNode) {
-  FakeProbe p;
-  p.results[1] = {0.2, false, 0, 0};
-  p.results[2] = {0.3, false, 0, 0};
-  Rng rng(3);
-  const auto d = forward_b_way({1, 2}, 2, p.fn(), rng);
-  EXPECT_TRUE(d.next == 1 || d.next == 2);
-  EXPECT_EQ(d.probes, 1);  // first probed was light -> stop
-}
-
-TEST(ForwardBWay, AllHeavyPicksLeastLoaded) {
-  FakeProbe p;
-  p.results[1] = {3.0, true, 0, 0};
-  p.results[2] = {1.5, true, 0, 0};
-  Rng rng(4);
-  const auto d = forward_b_way({1, 2}, 2, p.fn(), rng);
-  EXPECT_EQ(d.next, 2u);
-  EXPECT_EQ(d.probes, 2);
-}
-
-TEST(ForwardBWay, PollSizeCapsProbes) {
-  FakeProbe p;
-  for (NodeIndex n = 1; n <= 10; ++n) p.results[n] = {2.0, true, 0, 0};
-  Rng rng(5);
-  const auto d = forward_b_way({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 3, p.fn(), rng);
-  EXPECT_EQ(d.probes, 3);
-  EXPECT_NE(d.next, dht::kNoNode);
-}
-
 class TopoForwardTest : public ::testing::Test {
  protected:
   TopoForwardTest() : entry_(dht::EntryKind::kCubical) {

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "harness/experiment.h"
 #include "harness/model_check.h"
@@ -35,7 +36,7 @@ SimParams sharded_params(std::size_t nodes, std::size_t lookups,
 void expect_model_pass(SubstrateKind kind, std::size_t nodes,
                        std::uint64_t seed) {
   const SimParams p = sharded_params(nodes, 20000, seed);
-  ASSERT_TRUE(pdes_supported(p, Protocol::kBase, kind, ExperimentOptions{}))
+  ASSERT_EQ(pdes_supported(p, Protocol::kBase, kind, ExperimentOptions{}), "")
       << "model check would silently fall back to the serial engine";
   const auto r = model_check(kind, p);
   std::printf(
@@ -73,7 +74,7 @@ void expect_audit_clean(SubstrateKind kind) {
   p.lookup_rate = 16.0;
   ExperimentOptions opt;
   opt.audit.enabled = true;
-  ASSERT_TRUE(pdes_supported(p, Protocol::kErtAF, kind, opt));
+  ASSERT_EQ(pdes_supported(p, Protocol::kErtAF, kind, opt), "");
   const auto r = run_experiment(p, Protocol::kErtAF, kind, opt);
   EXPECT_EQ(r.completed_lookups, 6000u);
   EXPECT_EQ(r.dropped_lookups, 0u);
@@ -137,6 +138,57 @@ TEST(PdesDelta, ErtAfBandsOnChord) {
 
 TEST(PdesDelta, ErtAfBandsOnKademlia) {
   expect_metric_bands(SubstrateKind::kKademlia);
+}
+
+/// pdes_supported names its refusal; each case flips exactly one input of a
+/// run the sharded transport otherwise accepts.
+std::string refusal(SimParams p, Protocol proto, ExperimentOptions o) {
+  return pdes_supported(p, proto, SubstrateKind::kCycloid, o);
+}
+
+TEST(PdesRefusal, AcceptsThePlainRun) {
+  EXPECT_EQ(refusal(sharded_params(64, 100, 1), Protocol::kErtAF, {}), "");
+}
+
+TEST(PdesRefusal, VirtualServers) {
+  EXPECT_EQ(refusal(sharded_params(64, 100, 1), Protocol::kVS, {}),
+            "virtual servers");
+}
+
+TEST(PdesRefusal, ImpulseWorkload) {
+  SimParams p = sharded_params(64, 100, 1);
+  p.impulse_nodes = 8;
+  p.impulse_keys = 4;
+  EXPECT_EQ(refusal(p, Protocol::kErtAF, {}), "impulse workload");
+}
+
+TEST(PdesRefusal, Scenario) {
+  ExperimentOptions o;
+  scenario::Phase flash;
+  flash.type = scenario::PhaseType::kFlash;
+  flash.start = 1.0;
+  flash.end = 2.0;
+  flash.multiplier = 4.0;
+  o.scenario.phases.push_back(flash);
+  ASSERT_FALSE(o.scenario.inert());
+  EXPECT_EQ(refusal(sharded_params(64, 100, 1), Protocol::kErtAF, o),
+            "scenario");
+}
+
+TEST(PdesRefusal, MessageDuplication) {
+  ExperimentOptions o;
+  o.faults.dup_prob = 0.01;
+  EXPECT_EQ(refusal(sharded_params(64, 100, 1), Protocol::kErtAF, o),
+            "message duplication");
+}
+
+TEST(PdesRefusal, FewerThanEightNodesPerShard) {
+  EXPECT_EQ(refusal(sharded_params(8 * kSimThreads - 1, 100, 1),
+                    Protocol::kErtAF, {}),
+            "fewer than 8 nodes per shard");
+  EXPECT_EQ(refusal(sharded_params(8 * kSimThreads, 100, 1),
+                    Protocol::kErtAF, {}),
+            "");
 }
 
 }  // namespace

@@ -434,6 +434,10 @@ int main(int argc, char** argv) {
     p.adapt_period = 8.0;
   }
   p.dimension = std::max(p.dimension, ert::harness::fit_dimension(p.num_nodes));
+  if (const std::string err = p.validate(); !err.empty()) {
+    std::fprintf(stderr, "ertsim: error: %s\n", err.c_str());
+    return 2;
+  }
   if (proto == Protocol::kVS && kind != SubstrateKind::kCycloid)
     usage("VS requires the cycloid substrate");
   if (proto == Protocol::kNS && kind != SubstrateKind::kCycloid &&
@@ -588,11 +592,11 @@ int main(int argc, char** argv) {
   std::printf("network            %zu nodes, %zu lookups at %.1f/s\n",
               p.num_nodes, p.num_lookups, p.lookup_rate);
   if (p.sim_threads > 1) {
-    const bool sharded =
+    const std::string refusal =
         ert::harness::pdes_supported(p, proto, kind, options);
     std::printf("sim threads        %d shards (%s)\n", p.sim_threads,
-                sharded ? "conservative PDES"
-                        : "unsupported workload, serial fallback");
+                refusal.empty() ? "conservative PDES"
+                                : (refusal + ", serial fallback").c_str());
   }
   std::printf("completed          %zu (+%zu dropped), sim time %.1f s\n",
               r.completed_lookups, r.dropped_lookups, r.sim_duration);
