@@ -125,7 +125,9 @@ struct ExperimentResult {
 
 /// Runs one simulation. Deterministic for a given (params.seed, protocol,
 /// substrate, options) — including faulted runs: the fault stream has its
-/// own seeded Rng. VS and NS require the Cycloid substrate.
+/// own seeded Rng. VS and NS require the Cycloid substrate. Throws
+/// std::invalid_argument with SimParams::validate()'s message when the
+/// parameter set cannot run.
 ExperimentResult run_experiment(const SimParams& params, Protocol protocol);
 ExperimentResult run_experiment(const SimParams& params, Protocol protocol,
                                 SubstrateKind substrate);
@@ -181,7 +183,7 @@ struct BuildReport {
 
 /// Constructs the network exactly as run_experiment would (same Rng draw
 /// sequence) and stops before issuing any workload. Used by the scale
-/// benchmarks and `ertsim --build-only`.
+/// benchmarks and `ertsim --build-only`. Throws like run_experiment.
 BuildReport run_build_only(const SimParams& params, Protocol protocol,
                            SubstrateKind substrate);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace ert::harness {
@@ -90,6 +91,19 @@ TEST(Experiment, FitDimension) {
   EXPECT_EQ(fit_dimension(25), 4);      // 4 * 16 = 64
   EXPECT_EQ(fit_dimension(2048), 8);    // the paper's network
   EXPECT_EQ(fit_dimension(2049), 9);
+}
+
+TEST(Experiment, RefusesAWorkloadSpanBeyondAMillionPeriods) {
+  SimParams p;
+  p.num_nodes = 64;
+  p.num_lookups = 3;
+  p.lookup_rate = 1e-300;
+  EXPECT_NE(p.validate(), "");
+  EXPECT_THROW(run_experiment(p, Protocol::kErtAF), std::invalid_argument);
+  EXPECT_THROW(run_build_only(p, Protocol::kErtAF, SubstrateKind::kCycloid),
+               std::invalid_argument);
+  p.lookup_rate = 3e-6;  // a span of exactly 1e6 periods still runs
+  EXPECT_EQ(p.validate(), "");
 }
 
 TEST(Experiment, ErtReducesShareSkewVsBase) {
