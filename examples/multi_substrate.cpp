@@ -158,9 +158,7 @@ int main(int argc, char** argv) {
   }
 
   {  // --- CAN zone shortcuts --------------------------------------------------
-    ert::can::CanOptions opts;
-    opts.enforce_indegree_bounds = true;
-    ert::can::Overlay o(opts);
+    ert::can::Overlay o(ert::can::CanOptions{});
     for (std::size_t i = 0; i < n; ++i)
       o.add_node(rng, norm[i], ert::core::max_indegree(alpha / 2, norm[i]),
                  0.8);

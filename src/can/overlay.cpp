@@ -307,25 +307,31 @@ void Overlay::expansion_targets_into(
   }
 }
 
-void Overlay::check_geometry() const {
-#ifndef NDEBUG
+void Overlay::audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const {
+  const CanNode& n = nodes_[i];
+  const bool owns_leaf = leaf_of_[i] >= 0 && tree_[leaf_of_[i]].owner == i;
+  sink.expect_eq("geometry.can.partition", i, owns_leaf ? 1.0 : 0.0, 1.0,
+                 "node does not own its split-tree leaf");
+  // Adjacency completeness (its symmetry is part of links.symmetry).
+  std::size_t wrong = 0;
+  for (dht::NodeIndex j = 0; j < nodes_.size(); ++j) {
+    if (j == i || !nodes_[j].alive) continue;
+    if (zones_abut(n.zone, nodes_[j].zone) !=
+        n.table.entry(kAdjacencyEntry).contains(arena().cands, j))
+      ++wrong;
+  }
+  sink.expect_eq("geometry.can.adjacency", i, static_cast<double>(wrong), 0.0,
+                 "adjacency entry incomplete or stale");
+}
+
+void Overlay::audit_network_geometry(core::AuditSink& sink) const {
   if (root_ < 0) return;
   double volume = 0.0;
-  for (dht::NodeIndex i = 0; i < nodes_.size(); ++i) {
-    const CanNode& n = nodes_[i];
-    if (!n.alive) continue;
-    volume += n.zone.volume();
-    assert(leaf_of_[i] >= 0 && tree_[leaf_of_[i]].owner == i);
-    // Adjacency completeness (its symmetry is part of the link audit).
-    for (dht::NodeIndex j = 0; j < nodes_.size(); ++j) {
-      if (j == i || !nodes_[j].alive) continue;
-      assert(zones_abut(n.zone, nodes_[j].zone) ==
-                 n.table.entry(kAdjacencyEntry).contains(arena().cands, j) &&
-             "adjacency incomplete or stale");
-    }
-  }
-  assert(std::fabs(volume - 1.0) < 1e-9 && "zones do not partition the space");
-#endif
+  for (const CanNode& n : nodes_)
+    if (n.alive) volume += n.zone.volume();
+  if (std::fabs(volume - 1.0) >= 1e-9)
+    sink.report("geometry.can.partition", dht::kNoNode, volume, 1.0,
+                "zones do not partition the space");
 }
 
 }  // namespace ert::can

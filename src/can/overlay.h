@@ -60,7 +60,6 @@ inline constexpr std::size_t kShortcutEntry = 1;   ///< elastic ERT links
 inline constexpr std::size_t kNumEntries = 2;
 
 struct CanOptions {
-  bool enforce_indegree_bounds = false;
   double shortcut_radius = 0.35;  ///< probe owners within this distance.
   std::size_t max_shortcuts = 8;  ///< per-node outgoing shortcut cap.
 };
@@ -131,8 +130,12 @@ class Overlay : public core::ElasticLinks<Overlay, CanNode> {
   }
   /// Classic CAN departure with zone takeover through the split tree.
   void erase_member(dht::NodeIndex i);
-  /// Zones partition the space and adjacency is complete.
-  void check_geometry() const;
+  /// geometry.can.partition: `i` owns its split-tree leaf.
+  /// geometry.can.adjacency: `i`'s adjacency entry holds exactly the live
+  /// zones abutting its own, O(n).
+  void audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const;
+  /// geometry.can.partition: the live zones' volumes sum to the torus.
+  void audit_network_geometry(core::AuditSink& sink) const;
 
   /// Split-tree bookkeeping: every leaf is an alive node's zone.
   struct TreeNode {

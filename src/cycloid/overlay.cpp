@@ -572,28 +572,31 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
   return step;
 }
 
-void Overlay::check_geometry() const {
-#ifndef NDEBUG
-  for (dht::NodeIndex i = 0; i < nodes_.size(); ++i) {
-    const OverlayNode& n = nodes_[i];
-    if (!n.alive) continue;
-    // Outside-leaf eligibility is dynamic (nearest occupied cycles) and may
-    // go stale under churn; every other live candidate must still fit.
-    for (std::size_t slot = 0; slot < kOutsideLeafEntry; ++slot)
-      for (const dht::NodeIndex32 c :
-           n.table.entry(slot).candidates(arena().cands))
-        assert((!nodes_[c].alive || eligible(i, slot, c)) &&
-               "ineligible candidate in entry");
-    // The per-class secondary index must mirror the main directory.
-    assert(directory_.owner_of(lv(i)) == std::optional<dht::NodeIndex>(i));
-    assert(class_dirs_[static_cast<std::size_t>(n.id.k)].owner_of(n.id.a) ==
-           std::optional<dht::NodeIndex>(i));
-  }
+void Overlay::audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const {
+  const OverlayNode& n = nodes_[i];
+  std::size_t ineligible = 0;
+  for (std::size_t slot = 0; slot < kOutsideLeafEntry; ++slot)
+    for (const dht::NodeIndex32 c :
+         n.table.entry(slot).candidates(arena().cands))
+      if (nodes_[c].alive && !eligible(i, slot, c)) ++ineligible;
+  sink.expect_eq("geometry.cycloid.eligible", i,
+                 static_cast<double>(ineligible), 0.0,
+                 "ineligible candidate in entry");
+  const bool indexed =
+      directory_.owner_of(lv(i)) == std::optional<dht::NodeIndex>(i) &&
+      class_dirs_[static_cast<std::size_t>(n.id.k)].owner_of(n.id.a) ==
+          std::optional<dht::NodeIndex>(i);
+  sink.expect_eq("geometry.cycloid.class_index", i, indexed ? 1.0 : 0.0, 1.0,
+                 "id missing from the directory or its class index");
+}
+
+void Overlay::audit_network_geometry(core::AuditSink& sink) const {
   std::size_t class_total = 0;
   for (const auto& cd : class_dirs_) class_total += cd.size();
-  assert(class_total == directory_.size() &&
-         "class index out of sync with directory");
-#endif
+  sink.expect_eq("geometry.cycloid.class_index", dht::kNoNode,
+                 static_cast<double>(class_total),
+                 static_cast<double>(directory_.size()),
+                 "class index out of sync with directory");
 }
 
 }  // namespace ert::cycloid

@@ -193,8 +193,14 @@ class Overlay : public core::ElasticLinks<Overlay, OverlayNode> {
     directory_.erase(lv(i));
     class_dirs_[static_cast<std::size_t>(nodes_[i].id.k)].erase(nodes_[i].id.a);
   }
-  /// Table eligibility and the per-class index mirror the directory.
-  void check_geometry() const;
+  /// geometry.cycloid.eligible: every live candidate of `i` outside the
+  /// outside-leaf entry (whose eligibility moves with the nearest occupied
+  /// cycles) still fits its entry. geometry.cycloid.class_index: the
+  /// directory and `i`'s per-class index both map `i`'s id to `i`.
+  void audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const;
+  /// geometry.cycloid.class_index: the class index holds exactly as many
+  /// ids as the directory, O(d).
+  void audit_network_geometry(core::AuditSink& sink) const;
 
   std::uint64_t lv(dht::NodeIndex i) const { return space_.to_linear(nodes_[i].id); }
 

@@ -173,21 +173,18 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
   return step;
 }
 
-void Overlay::check_geometry() const {
-#ifndef NDEBUG
-  // Full-mesh completeness: every alive built peer is in the table.
+void Overlay::audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const {
+  if (!nodes_[i].table_built) return;
   std::size_t built_alive = 0;
   for (const D1htNode& n : nodes_)
     if (n.alive && n.table_built) ++built_alive;
-  for (const D1htNode& n : nodes_) {
-    if (!n.alive || !n.table_built) continue;
-    std::size_t alive_peers = 0;
-    for (const dht::NodeIndex32 c :
-         n.table.entry(kFullTableEntry).candidates(arena().cands))
-      if (nodes_[c].alive) ++alive_peers;
-    assert(alive_peers == built_alive - 1);
-  }
-#endif
+  std::size_t alive_peers = 0;
+  for (const dht::NodeIndex32 c :
+       nodes_[i].table.entry(kFullTableEntry).candidates(arena().cands))
+    if (nodes_[c].alive) ++alive_peers;
+  sink.expect_eq("geometry.d1ht.mesh", i, static_cast<double>(alive_peers),
+                 static_cast<double>(built_alive - 1),
+                 "full table misses a live member");
 }
 
 }  // namespace ert::d1ht

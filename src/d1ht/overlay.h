@@ -41,7 +41,6 @@ struct D1htOptions {
   /// far past a node the adopters it accepts may sit, in occupied
   /// positions.
   std::size_t successor_spread = 16;
-  bool enforce_indegree_bounds = false;
 };
 
 /// Table entries: [0] full table, [1] successor list. Backward fingers and
@@ -103,7 +102,9 @@ class Overlay : public core::ElasticLinks<Overlay, D1htNode> {
   /// EDRA announces a departure: every member drops its full-table entry.
   void drop_mandatory_links(dht::NodeIndex i);
   void erase_member(dht::NodeIndex i) { directory_.erase(nodes_[i].id); }
-  void check_geometry() const;
+  /// geometry.d1ht.mesh: once built, `i`'s full table holds every other
+  /// live built member, O(n).
+  void audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const;
 
   D1htOptions opts_;
   dht::RingDirectory directory_;

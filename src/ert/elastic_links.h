@@ -10,7 +10,7 @@
 // only in which reverse-neighbour ids may point at a node. ElasticLinks
 // owns that mechanism — the per-node table, inlinks and budget, the pooled
 // link arena, the trace and meter hooks, the eviction and expansion scratch,
-// link/unlink/expand/shed/purge and the symmetry and budget audit — and a
+// link/unlink/expand/shed/purge and the per-node structural audit — and a
 // substrate supplies only its geometry through static (CRTP) hooks:
 //
 //   required  eligible(owner, slot, cand)       may cand sit in owner's slot?
@@ -30,7 +30,8 @@
 //             after_shed(host)       runs per evicted host (Cycloid repairs)
 //             drop_mandatory_links(i) graceful-leave teardown of mandatory
 //                                    structure (D1HT's EDRA announcement)
-//             check_geometry()       substrate-specific structural asserts
+//             audit_geometry(i, sink) per-node geometry.<sub>.* checks
+//             audit_network_geometry(sink) whole-network ones, O(n)
 //
 // The template's members are defined in elastic_links_impl.h and
 // instantiated explicitly once per overlay, next to its hooks.
@@ -46,6 +47,7 @@
 #include "dht/routing_entry.h"
 #include "dht/stamp_set.h"
 #include "dht/types.h"
+#include "ert/audit_sink.h"
 #include "ert/indegree.h"
 
 namespace ert::trace {
@@ -71,17 +73,6 @@ struct ElasticNode {
 
 /// (host node, entry slot) pair the expansion algorithm may probe.
 using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
-
-/// Per-node link bookkeeping summary for the invariant auditor: the elastic
-/// inlink count (backward fingers) and how many links lack their mirror.
-/// Mandatory symmetric structure (CAN zone adjacency, the D1HT full mesh)
-/// is folded into the missing_* counts but not into `inlinks`, which tracks
-/// exactly what the indegree budget governs.
-struct LinkAuditCounts {
-  std::size_t inlinks = 0;           ///< backward fingers (budget-governed).
-  std::size_t missing_backward = 0;  ///< outlinks without a mirror.
-  std::size_t missing_forward = 0;   ///< fingers without a mirror outlink.
-};
 
 template <typename Derived, typename Node>
 class ElasticLinks {
@@ -124,14 +115,19 @@ class ElasticLinks {
   /// backward fingers.
   std::size_t indegree(dht::NodeIndex i) const;
 
-  /// Counts `i`'s elastic inlinks and every link lacking its mirror. Stale
-  /// links to dead peers are tolerated: silent failure leaves them until a
+  /// Reports every structural violation at live node `i` into `sink`:
+  /// links.symmetry (each link mirrored; mandatory structure both ways,
+  /// elastic links by a backward finger), indegree.budget-sync and the
+  /// substrate's per-node geometry. Dead nodes are skipped, and stale links
+  /// to dead peers are tolerated: silent failure leaves them until a
   /// timeout discovers them.
-  LinkAuditCounts audit_links(dht::NodeIndex i) const;
+  void audit_node(dht::NodeIndex i, AuditSink& sink) const;
 
-  /// Asserts link symmetry, budget consistency and the substrate's own
-  /// structure (active in Debug builds; a no-op under NDEBUG).
-  void check_invariants() const;
+  /// The substrate's whole-network geometry checks, O(n): run once per
+  /// sweep, next to audit_node on each audited node.
+  void audit_network(AuditSink& sink) const {
+    self().audit_network_geometry(sink);
+  }
 
   const Node& node(dht::NodeIndex i) const { return nodes_.at(i); }
   Node& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
@@ -171,7 +167,8 @@ class ElasticLinks {
   int shed_limit(dht::NodeIndex, int count) const { return count; }
   void after_shed(dht::NodeIndex) {}
   void drop_mandatory_links(dht::NodeIndex) {}
-  void check_geometry() const {}
+  void audit_geometry(dht::NodeIndex, AuditSink&) const {}
+  void audit_network_geometry(AuditSink&) const {}
 
   /// Appends `n` as a live node with a fresh budget; returns its index.
   dht::NodeIndex push_node(Node n, double capacity, int max_indegree,

@@ -6,7 +6,6 @@
 // so the geometry hooks inline into the link paths with no virtual call.
 #pragma once
 
-#include <cassert>
 #include <utility>
 
 #include "ert/elastic_links.h"
@@ -150,7 +149,7 @@ void ElasticLinks<D, N>::drop_links(dht::NodeIndex i) {
   for (std::size_t s = D::kFirstElasticSlot; s < entries.size(); ++s) {
     for (const dht::NodeIndex32 c : entries[s].candidates(arena_.cands)) {
       nodes_[c].inlinks.remove(arena_.fingers, i);
-      nodes_[c].budget.on_inlink_removed();
+      nodes_[c].budget.on_inlink_lost();
     }
     entries[s].release(arena_.cands);
   }
@@ -181,7 +180,7 @@ template <typename D, typename N>
 void ElasticLinks<D, N>::purge_dead(dht::NodeIndex at, dht::NodeIndex dead) {
   N& n = nodes_.at(at);
   n.table.remove_everywhere(arena_.cands, dead);
-  if (n.inlinks.remove(arena_.fingers, dead)) n.budget.on_inlink_removed();
+  if (n.inlinks.remove(arena_.fingers, dead)) n.budget.on_inlink_lost();
 }
 
 template <typename D, typename N>
@@ -194,10 +193,10 @@ std::size_t ElasticLinks<D, N>::indegree(dht::NodeIndex i) const {
 }
 
 template <typename D, typename N>
-LinkAuditCounts ElasticLinks<D, N>::audit_links(dht::NodeIndex i) const {
-  LinkAuditCounts a;
+void ElasticLinks<D, N>::audit_node(dht::NodeIndex i, AuditSink& sink) const {
   const N& n = nodes_.at(i);
-  a.inlinks = n.inlinks.size();
+  if (!n.alive) return;
+  std::size_t missing_backward = 0;
   const auto& entries = n.table.entries();
   for (std::size_t s = 0; s < entries.size(); ++s) {
     for (const dht::NodeIndex32 c : entries[s].candidates(arena_.cands)) {
@@ -208,30 +207,23 @@ LinkAuditCounts ElasticLinks<D, N>::audit_links(dht::NodeIndex i) const {
           s < D::kFirstElasticSlot
               ? nodes_[c].table.entry(s).contains(arena_.cands, i)
               : nodes_[c].inlinks.contains(arena_.fingers, i);
-      if (!mirrored) ++a.missing_backward;
+      if (!mirrored) ++missing_backward;
     }
   }
+  std::size_t missing_forward = 0;
   for (const auto& f : n.inlinks.fingers(arena_.fingers)) {
     if (!nodes_[f.node].alive) continue;
-    if (!links_elastic(nodes_[f.node].table, i)) ++a.missing_forward;
+    if (!links_elastic(nodes_[f.node].table, i)) ++missing_forward;
   }
-  return a;
-}
-
-template <typename D, typename N>
-void ElasticLinks<D, N>::check_invariants() const {
-#ifndef NDEBUG
-  for (dht::NodeIndex i = 0; i < nodes_.size(); ++i) {
-    const N& n = nodes_[i];
-    if (!n.alive) continue;
-    const LinkAuditCounts a = audit_links(i);
-    assert(a.missing_backward == 0 && "outlink without matching mirror");
-    assert(a.missing_forward == 0 && "backward finger without outlink");
-    assert(static_cast<std::size_t>(n.budget.indegree()) == a.inlinks &&
-           "budget degree out of sync with backward fingers");
-  }
-  self().check_geometry();
-#endif
+  sink.expect_eq("links.symmetry", i, static_cast<double>(missing_backward),
+                 0.0, "outlink without matching backward finger");
+  sink.expect_eq("links.symmetry", i, static_cast<double>(missing_forward),
+                 0.0, "backward finger without matching outlink");
+  sink.expect_eq("indegree.budget-sync", i,
+                 static_cast<double>(n.budget.indegree()),
+                 static_cast<double>(n.inlinks.size()),
+                 "budget degree vs backward-finger count");
+  self().audit_geometry(i, sink);
 }
 
 }  // namespace ert::core

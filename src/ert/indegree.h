@@ -48,6 +48,17 @@ class IndegreeBudget {
   void on_inlink_removed() {
     if (degree_ > 0) --degree_;
   }
+  /// Removes an inlink whose pointer departed (graceful leave) or was
+  /// found dead (purge). Such a loss lowers d but leaves d_inf, so it is
+  /// counted, never decremented, like forced_accepts(): the auditable
+  /// adaptive window is d_inf <= d + lost_inlinks() + the Theorem 3.1
+  /// bound.
+  void on_inlink_lost() {
+    if (degree_ == 0) return;
+    --degree_;
+    ++lost_;
+  }
+  int lost_inlinks() const { return lost_; }
 
   /// Records a link accepted while no spare capacity was left — the
   /// emergency build/repair fallbacks (link with respect_budget=false)
@@ -69,6 +80,7 @@ class IndegreeBudget {
   int max_ = 1;
   int degree_ = 0;
   int forced_ = 0;
+  int lost_ = 0;
   double beta_ = 0.8;
 };
 

@@ -19,13 +19,17 @@
 //   theorem3.1             static-bound protocols (ERT/F, NS): d_inf <=
 //                          floor(0.5 + alpha * gamma_c * c-hat)
 //   theorem3.2             adaptive protocols (ERT/A, ERT/AF): d_inf <=
-//                          d + floor(0.5 + alpha * gamma_c * c-hat); the
-//                          bound-over-degree gap never exceeds the initial
-//                          assignment's, so growth is always backed by
-//                          real inlinks (the executable form of the
-//                          theorem's capacity window)
+//                          d + lost + floor(0.5 + alpha * gamma_c * c-hat);
+//                          the bound-over-degree gap never exceeds the
+//                          initial assignment's plus the inlinks lost to
+//                          departed or purged pointers, so growth is always
+//                          backed by real inlinks (the executable form of
+//                          the theorem's capacity window)
 //   links.symmetry         every outlink candidate is mirrored by a
 //                          backward finger at its target and vice versa
+//   geometry.<substrate>.* the overlay's own structure (CAN partition and
+//                          adjacency, Cycloid eligibility and class index,
+//                          the D1HT mesh, Kademlia buckets)
 //   queue.consistency      LoadTracker queue length == waiting + in
 //                          service at the engine's queues
 //
@@ -43,6 +47,7 @@
 
 #include "common/rng.h"
 #include "dht/types.h"
+#include "ert/audit_sink.h"
 
 namespace ert::harness {
 
@@ -78,7 +83,7 @@ struct InvariantViolation {
 
 std::string to_string(const InvariantViolation& v);
 
-class InvariantAuditor {
+class InvariantAuditor final : public core::AuditSink {
  public:
   /// `seed` feeds the auditor's private sampling stream (see
   /// AuditorOptions::sample); callers domain-separate it from the
@@ -103,15 +108,7 @@ class InvariantAuditor {
 
   /// Records a violation (subject to the record cap).
   void report(const char* invariant, dht::NodeIndex node, double observed,
-              double bound, std::string detail = {});
-
-  /// observed <= bound, else a violation.
-  void expect_le(const char* invariant, dht::NodeIndex node, double observed,
-                 double bound, const char* what = "");
-
-  /// observed == bound, else a violation.
-  void expect_eq(const char* invariant, dht::NodeIndex node, double observed,
-                 double bound, const char* what = "");
+              double bound, const char* what) override;
 
   std::size_t sweeps() const { return sweeps_; }
   std::size_t total_violations() const { return total_; }
@@ -129,13 +126,13 @@ class InvariantAuditor {
   std::vector<std::uint32_t> sample_out_;    ///< the sweep's chosen subset.
 };
 
-/// Sweeps every live overlay node of `sub`, checking budget consistency,
-/// link symmetry, and the theorem bound windows. `capacity_of` maps an
-/// overlay node to the normalized capacity of its physical host;
-/// `bounds_enforced` / `adaptive` select which theorem applies (Base/VS
-/// enforce no bound, ERT/F and NS keep the initial one, ERT/A and ERT/AF
-/// adapt it). Also runs the overlay's own check_invariants() (assert-based,
-/// active in Debug/sanitizer builds).
+/// Sweeps every live overlay node of `sub` (or the sweep's sample), running
+/// its structural audit (link symmetry, budget sync, geometry) and the
+/// theorem bound windows, then the whole-network structural checks once.
+/// `capacity_of` maps an overlay node to the normalized capacity of its
+/// physical host; `bounds_enforced` / `adaptive` select which theorem
+/// applies (Base/VS enforce no bound, ERT/F and NS keep the initial one,
+/// ERT/A and ERT/AF adapt it).
 void audit_substrate(InvariantAuditor& auditor, SubstrateOps& sub,
                      bool bounds_enforced, bool adaptive, double alpha,
                      double gamma_c,

@@ -53,10 +53,12 @@ class ElasticSubstrate : public SubstrateOps {
     overlay_->purge_dead(at, dead);
   }
 
-  LinkAuditCounts audit_links(NodeIndex i) const override {
-    return overlay_->audit_links(i);
+  void audit_node(NodeIndex i, core::AuditSink& sink) const override {
+    overlay_->audit_node(i, sink);
   }
-  void check_structure() const override { overlay_->check_invariants(); }
+  void audit_network(core::AuditSink& sink) const override {
+    overlay_->audit_network(sink);
+  }
 
   dht::RoutingEntry* entry(NodeIndex i, std::size_t slot) override {
     if (slot == kNoSlot) return nullptr;
@@ -236,10 +238,8 @@ class KademliaSubstrate final : public RingSubstrate<kademlia::Overlay> {
 
 class D1htSubstrate final : public RingSubstrate<d1ht::Overlay> {
  public:
-  D1htSubstrate(bool enforce_bounds, std::size_t ids_needed,
-                PhysDistFn phys) {
+  D1htSubstrate(std::size_t ids_needed, PhysDistFn phys) {
     d1ht::D1htOptions opts;
-    opts.enforce_indegree_bounds = enforce_bounds;
     opts.bits = substrate_ring_bits(ids_needed);
     overlay_ = std::make_unique<d1ht::Overlay>(opts, std::move(phys));
   }
@@ -247,10 +247,9 @@ class D1htSubstrate final : public RingSubstrate<d1ht::Overlay> {
 
 class CanSubstrate final : public ElasticSubstrate<can::Overlay> {
  public:
-  CanSubstrate(bool enforce_bounds, PhysDistFn phys) {
-    can::CanOptions opts;
-    opts.enforce_indegree_bounds = enforce_bounds;
-    overlay_ = std::make_unique<can::Overlay>(opts, std::move(phys));
+  explicit CanSubstrate(PhysDistFn phys) {
+    overlay_ = std::make_unique<can::Overlay>(can::CanOptions{},
+                                              std::move(phys));
   }
 
   /// Keys hash onto the unit torus: low/high 16 bits become x/y.
@@ -320,15 +319,14 @@ std::unique_ptr<SubstrateOps> make_substrate(SubstrateKind kind,
                                                std::move(phys));
     case SubstrateKind::kCan:
       assert(!capacity_biased && "NS policy is Cycloid-only in this build");
-      return std::make_unique<CanSubstrate>(enforce_bounds, std::move(phys));
+      return std::make_unique<CanSubstrate>(std::move(phys));
     case SubstrateKind::kKademlia:
       return std::make_unique<KademliaSubstrate>(
           capacity_biased, enforce_bounds, ids_needed, std::move(phys));
     case SubstrateKind::kD1ht:
       assert(!capacity_biased &&
              "NS is undefined on a full mesh: no selection freedom");
-      return std::make_unique<D1htSubstrate>(enforce_bounds, ids_needed,
-                                             std::move(phys));
+      return std::make_unique<D1htSubstrate>(ids_needed, std::move(phys));
   }
   return nullptr;
 }

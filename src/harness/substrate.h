@@ -66,8 +66,6 @@ struct HopStep {
   std::size_t slot = kNoSlot;
 };
 
-using core::LinkAuditCounts;
-
 class SubstrateOps {
  public:
   virtual ~SubstrateOps() = default;
@@ -104,13 +102,11 @@ class SubstrateOps {
   virtual void purge_dead(dht::NodeIndex at, dht::NodeIndex dead) = 0;
   virtual void repair_entry(dht::NodeIndex i, std::size_t slot) = 0;
 
-  // --- auditing ---
-  /// Counts `i`'s elastic inlinks and any broken link mirrors (see
-  /// LinkAuditCounts). Read-only; used by the invariant auditor.
-  virtual LinkAuditCounts audit_links(dht::NodeIndex i) const = 0;
-  /// Runs the overlay's own check_invariants() (assert-based; active in
-  /// Debug and sanitizer builds, a no-op under NDEBUG).
-  virtual void check_structure() const = 0;
+  // --- auditing (read-only; see core::ElasticLinks) ---
+  /// Reports live node `i`'s link, budget and geometry violations.
+  virtual void audit_node(dht::NodeIndex i, core::AuditSink& sink) const = 0;
+  /// Reports the whole-network geometry violations, O(n).
+  virtual void audit_network(core::AuditSink& sink) const = 0;
 
   // --- routing ---
   virtual std::uint64_t key_space() const = 0;

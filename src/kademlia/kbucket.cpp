@@ -138,24 +138,20 @@ std::size_t KBucketTable::size() const {
   return total;
 }
 
-void KBucketTable::check_invariants() const {
-#ifndef NDEBUG
-  assert(!buckets_.empty());
+bool KBucketTable::check_structure() const {
+  if (buckets_.empty()) return false;
   std::uint64_t next = 0;
-  for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
-    const KBucket& b = buckets_[bi];
-    assert(b.prefix == next);
-    assert(b.prefix_len >= 0 && b.prefix_len <= bits_);
+  for (const KBucket& b : buckets_) {
+    if (b.prefix != next || b.prefix_len < 0 || b.prefix_len > bits_ ||
+        b.contacts.size() > k_)
+      return false;
     const std::uint64_t len = std::uint64_t{1} << (bits_ - b.prefix_len);
-    assert(b.contacts.size() <= k_);
-    for (const Contact& c : b.contacts) {
-      assert(c.id != self_);
-      assert(c.id >= b.prefix && c.id < b.prefix + len);
-    }
+    for (const Contact& c : b.contacts)
+      if (c.id == self_ || c.id < b.prefix || c.id >= b.prefix + len)
+        return false;
     next = b.prefix + len;
   }
-  assert(next == (std::uint64_t{1} << bits_));
-#endif
+  return next == (std::uint64_t{1} << bits_);
 }
 
 }  // namespace ert::kademlia

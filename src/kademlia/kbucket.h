@@ -74,10 +74,11 @@ class KBucketTable {
   int bits() const { return bits_; }
   std::size_t bucket_size() const { return k_; }
 
-  /// Structural self-check: buckets partition the id space in ascending
-  /// prefix order, every contact lies in its bucket's range, no bucket
-  /// exceeds k. Assert-based (no-op under NDEBUG).
-  void check_invariants() const;
+  /// Structural audit: buckets partition the id space in ascending prefix
+  /// order, every contact lies in its bucket's range and is not the local
+  /// id, no bucket exceeds k. O(size); for tests. Returns true when
+  /// consistent.
+  bool check_structure() const;
 
  private:
   std::size_t bucket_index(std::uint64_t id) const;

@@ -135,7 +135,6 @@ void Overlay::build_table(dht::NodeIndex i, Rng& rng) {
       for (const dht::NodeIndex c : cand_scratch_) kb.insert(nodes_[c].id);
     }
   }
-  kb.check_invariants();
   // Materialize the surviving contacts into the elastic entries.
   for (const KBucket& b : kb.buckets()) {
     for (const Contact& c : b.contacts) {
@@ -293,17 +292,15 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
   return step;
 }
 
-void Overlay::check_geometry() const {
-#ifndef NDEBUG
-  // Every contact, stale ones included, sits in its msb-of-XOR bucket.
-  for (const KademliaNode& n : nodes_) {
-    if (!n.alive) continue;
-    for (std::size_t slot = 0; slot < n.table.num_entries(); ++slot)
-      for (const dht::NodeIndex32 c :
-           n.table.entry(slot).candidates(arena().cands))
-        assert(msb_diff(n.id, nodes_[c].id) == static_cast<int>(slot));
-  }
-#endif
+void Overlay::audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const {
+  const KademliaNode& n = nodes_[i];
+  std::size_t misfiled = 0;
+  for (std::size_t slot = 0; slot < n.table.num_entries(); ++slot)
+    for (const dht::NodeIndex32 c :
+         n.table.entry(slot).candidates(arena().cands))
+      if (msb_diff(n.id, nodes_[c].id) != static_cast<int>(slot)) ++misfiled;
+  sink.expect_eq("geometry.kademlia.bucket", i, static_cast<double>(misfiled),
+                 0.0, "contact outside its msb-of-XOR bucket");
 }
 
 }  // namespace ert::kademlia

@@ -116,7 +116,11 @@ class Overlay : public core::ElasticLinks<Overlay, KademliaNode> {
   /// contacts are never displaced by newcomers.
   bool make_room(dht::NodeIndex from, std::size_t slot);
   void erase_member(dht::NodeIndex i) { directory_.erase(nodes_[i].id); }
-  void check_geometry() const;
+  /// geometry.kademlia.bucket: every contact of `i`, stale ones included,
+  /// sits in its msb-of-XOR bucket. Computed from the ids, not through
+  /// eligible(), so a loosened eligibility rule cannot hide a misfiled
+  /// contact.
+  void audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const;
 
   /// Aligned base of `me`'s bucket-m interval: the 2^m ids whose XOR
   /// distance to `me` has msb m.

@@ -72,7 +72,7 @@ void Overlay::build_table(dht::NodeIndex i) {
   PastryNode& n = nodes_.at(i);
   // Prefix entries: for each (row, digit) enumerate the occupied block that
   // shares `row` digits with us and has `digit` next; pick by proximity
-  // (Pastry's PNS) or id order.
+  // (Pastry's PNS) when a distance function is installed, else id order.
   for (int r = 0; r < opts_.rows; ++r) {
     const int own = digit_of(n.id, r);
     const int shift = id_bits() - (r + 1) * opts_.bits_per_digit;
@@ -89,7 +89,7 @@ void Overlay::build_table(dht::NodeIndex i) {
           lo, hi,
           [&](std::uint64_t, dht::NodeIndex c) { cands.push_back(c); });
       if (cands.empty()) continue;
-      if (opts_.proximity_neighbor_selection && phys_dist_) {
+      if (phys_dist_) {
         std::stable_sort(cands.begin(), cands.end(),
                          [&](dht::NodeIndex x, dht::NodeIndex y) {
                            return phys_dist_(i, x) < phys_dist_(i, y);

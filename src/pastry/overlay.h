@@ -32,7 +32,6 @@ struct PastryOptions {
   std::size_t leaf_half = 4;    ///< leaf-set size per side.
   std::size_t entry_spread = 4; ///< max candidates per elastic entry.
   bool enforce_indegree_bounds = false;
-  bool proximity_neighbor_selection = true;  ///< Pastry's PNS.
 };
 
 /// Table entries: rows * (2^b) prefix slots (own-digit columns stay empty),

@@ -65,7 +65,7 @@ TEST(InvariantAuditorUnit, RecordCapKeepsCounting) {
   opts.max_records = 4;
   InvariantAuditor a(opts);
   a.begin_sweep(0.0);
-  for (int i = 0; i < 10; ++i) a.report("theorem3.2", i, 2.0, 1.0);
+  for (int i = 0; i < 10; ++i) a.report("theorem3.2", i, 2.0, 1.0, "");
   EXPECT_EQ(a.records().size(), 4u);
   EXPECT_EQ(a.total_violations(), 10u);
 }
@@ -231,20 +231,46 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- audited runs under churn and faults -------------------------------------
 
-TEST(AuditUnderStress, ChurnStaysViolationFree) {
-  // Joins and silent departures exercise repair paths (including the
-  // budget-bypassing emergency links the forced-accept counter covers).
+struct ChurnCase {
+  SubstrateKind substrate;
+  std::uint32_t seed;  // no padding: ctest names print every byte
+};
+
+class AuditUnderChurn : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(AuditUnderChurn, ChurnStaysViolationFree) {
+  // Joins and departures exercise repair paths (including the
+  // budget-bypassing emergency links the forced-accept counter covers) and
+  // inlink losses: CAN's departures are graceful leaves that drop the
+  // pointer's outlinks at once, and Kademlia's symmetric buckets purge
+  // dead pointers from the backward fingers.
   SimParams p = small_params();
   p.churn_interarrival = 0.5;
+  p.seed = GetParam().seed;
   ExperimentOptions opts;
   opts.audit.enabled = true;
   for (const Protocol proto : {Protocol::kErtA, Protocol::kErtAF}) {
-    const auto r =
-        run_experiment(p, proto, SubstrateKind::kCycloid, opts);
+    const auto r = run_experiment(p, proto, GetParam().substrate, opts);
     EXPECT_EQ(r.audit_violations, 0u)
         << to_string(proto) << "\n" << violations_text(r);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSubstrates, AuditUnderChurn,
+    ::testing::ValuesIn([] {
+      std::vector<ChurnCase> cases;
+      for (const SubstrateKind k :
+           {SubstrateKind::kCycloid, SubstrateKind::kChord,
+            SubstrateKind::kPastry, SubstrateKind::kCan,
+            SubstrateKind::kKademlia, SubstrateKind::kD1ht})
+        for (const std::uint32_t seed : {5, 6}) cases.push_back({k, seed});
+      return cases;
+    }()),
+    [](const auto& test) {
+      return std::string(to_string(test.param.substrate)) + "_seed" +
+             std::to_string(test.param.seed);
+    });
 
 TEST(AuditUnderStress, ScenarioChurnWavesStayViolationFree) {
   // Capacity-correlated scenario churn (tournament departures) runs a

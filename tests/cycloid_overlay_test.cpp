@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "structure_audit.h"
+
 namespace ert::cycloid {
 namespace {
 
@@ -37,7 +39,7 @@ TEST(CycloidOverlay, FullBuildPopulatesAllEntries) {
     EXPECT_FALSE(n.table.entry(kInsideLeafEntry).empty());
     EXPECT_FALSE(n.table.entry(kOutsideLeafEntry).empty());
   }
-  o.check_invariants();
+  EXPECT_TRUE(structure_ok(o));
 }
 
 TEST(CycloidOverlay, BaseOutdegreeMatchesCycloid) {
@@ -103,7 +105,7 @@ TEST(CycloidOverlay, ExpansionRaisesIndegree) {
       const int gained = o.expand_indegree(i, 5, 512);
       EXPECT_GT(gained, 0);
       EXPECT_EQ(o.node(i).budget.indegree(), before + gained);
-      o.check_invariants();
+      EXPECT_TRUE(structure_ok(o));
       return;
     }
   }
@@ -144,7 +146,7 @@ TEST(CycloidOverlay, ShedEvictsAndFixesBudget) {
         if (o.node(j).table.links_to(o.arena().cands, i))
           EXPECT_TRUE(o.node(i).inlinks.contains(o.arena().fingers, j));
       }
-      o.check_invariants();
+      EXPECT_TRUE(structure_ok(o));
       return;
     }
   }
@@ -206,7 +208,7 @@ TEST(CycloidOverlay, GracefulLeaveCleansAllLinks) {
     EXPECT_FALSE(o.node(j).table.links_to(o.arena().cands, victim));
     EXPECT_FALSE(o.node(j).inlinks.contains(o.arena().fingers, victim));
   }
-  o.check_invariants();
+  EXPECT_TRUE(structure_ok(o));
 }
 
 TEST(CycloidOverlay, FailLeavesStaleLinks) {

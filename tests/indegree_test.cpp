@@ -46,6 +46,16 @@ TEST(IndegreeBudget, RemoveBelowZeroClamped) {
   EXPECT_EQ(b.indegree(), 0);
 }
 
+TEST(IndegreeBudget, LostInlinksAreCountedOnlyWhenRemoved) {
+  IndegreeBudget b(5, 0.8);
+  b.on_inlink_added();
+  b.on_inlink_lost();
+  b.on_inlink_lost();  // nothing left to lose: neither moves
+  EXPECT_EQ(b.indegree(), 0);
+  EXPECT_EQ(b.lost_inlinks(), 1);
+  EXPECT_EQ(b.max_indegree(), 5);
+}
+
 TEST(BackwardFingerList, AddRemoveContains) {
   FingerPool pool;
   BackwardFingerList l;

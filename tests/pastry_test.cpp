@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "structure_audit.h"
+
 namespace ert::pastry {
 namespace {
 
@@ -62,7 +64,7 @@ TEST(Pastry, BuildFillsReachableEntries) {
     }
     EXPECT_FALSE(o.node(i).table.entry(o.leaf_entry()).empty());
   }
-  o.check_invariants();
+  EXPECT_TRUE(structure_ok(o));
 }
 
 TEST(Pastry, EntryEligibility) {
@@ -117,7 +119,7 @@ TEST(Pastry, ExpansionRaisesIndegree) {
   const int gained = o.expand_indegree(i, 8, 512);
   EXPECT_GT(gained, 0);
   EXPECT_EQ(o.node(i).budget.indegree(), before + gained);
-  o.check_invariants();
+  EXPECT_TRUE(structure_ok(o));
 }
 
 TEST(Pastry, ExpansionTargetsDivergeAtClaimedRow) {
@@ -141,7 +143,7 @@ TEST(Pastry, ShedIndegree) {
       const auto before = o.node(i).inlinks.size();
       EXPECT_EQ(o.shed_indegree(i, 3), 3);
       EXPECT_EQ(o.node(i).inlinks.size(), before - 3);
-      o.check_invariants();
+      EXPECT_TRUE(structure_ok(o));
       return;
     }
   }
@@ -167,7 +169,6 @@ TEST(Pastry, SurvivesGracefulChurn) {
 
 TEST(Pastry, ProximityNeighborSelectionPrefersClose) {
   PastryOptions opts;
-  opts.proximity_neighbor_selection = true;
   std::vector<double> coord;  // 1-D synthetic positions
   Overlay o(opts, [&coord](NodeIndex a, NodeIndex b) {
     return std::abs(coord[a] - coord[b]);
