@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -373,6 +375,51 @@ TEST(Experiment, AdaptationGrowsIndegreesOverTime) {
   // initial beta*d_inf assignment toward the structural limit.
   EXPECT_GT(r.timeline.back().mean_indegree,
             r.timeline.front().mean_indegree);
+}
+
+/// FNV-1a over the bit patterns of a run's model outputs, so an equal
+/// digest means bit-equal doubles and equal counters.
+std::uint64_t metrics_digest(const ExperimentResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (double v : {r.p99_max_congestion, r.mean_max_congestion,
+                   r.min_cap_node_congestion, r.p99_share, r.avg_path_length,
+                   r.lookup_time.mean, r.lookup_time.p01, r.lookup_time.p99,
+                   r.avg_timeouts, r.max_indegree.mean, r.max_indegree.p99,
+                   r.max_outdegree.mean, r.max_outdegree.p99,
+                   r.sim_duration}) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  for (std::size_t v :
+       {r.heavy_encounters, r.completed_lookups, r.dropped_lookups,
+        r.final_nodes, r.adapt_sheds, r.adapt_grows})
+    add(static_cast<std::uint64_t>(v));
+  return h;
+}
+
+// The Table-2 run itself (Cycloid, n = 2048, ERT/AF, 3000 lookups): the
+// goldens run at n <= 64, where no entry grows wide and no shed moves more
+// than one link. Here Algorithm 3 widens indegrees past 250, so multi-link
+// sheds, long expansion walks and wide descend entries all decide the
+// outcome, and any change to their order moves the digest.
+TEST(Experiment, PaperScaleErtAfRunIsPinned) {
+  SimParams p;
+  p.seed = 42;
+  const auto r = run_experiment(p, Protocol::kErtAF);
+  EXPECT_EQ(r.completed_lookups, 3000u);
+  EXPECT_EQ(r.dropped_lookups, 0u);
+  EXPECT_EQ(r.adapt_sheds, 48952u);
+  EXPECT_EQ(r.adapt_grows, 196244u);
+  EXPECT_EQ(r.max_indegree.p99, 276.0);
+  EXPECT_EQ(metrics_digest(r), 0xe6f085cbb7a757efULL)
+      << std::hex << metrics_digest(r);
 }
 
 TEST(Experiment, PollSizeOneDegradesForwarding) {
