@@ -139,10 +139,14 @@ BENCHMARK(BM_ForwardTopologyAware);
 void BM_ExpansionTargets(benchmark::State& state) {
   auto* o = full_cycloid(8);
   Rng rng(5);
-  std::vector<core::ExpansionTarget> targets;
+  std::size_t offered = 0;
   for (auto _ : state) {
-    o->expansion_targets_into(rng.index(o->num_slots()), 64, targets);
-    benchmark::DoNotOptimize(targets.data());
+    o->for_each_expansion_target(rng.index(o->num_slots()), 64,
+                                 [&](dht::NodeIndex, std::size_t) {
+                                   ++offered;
+                                   return true;
+                                 });
+    benchmark::DoNotOptimize(offered);
   }
 }
 BENCHMARK(BM_ExpansionTargets);

@@ -287,10 +287,11 @@ bool Overlay::eligible(dht::NodeIndex owner, std::size_t slot,
                                                               cand);
 }
 
-void Overlay::expansion_targets_into(
-    dht::NodeIndex i, std::size_t max_targets,
-    std::vector<core::ExpansionTarget>& out) const {
-  out.clear();
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        core::ExpansionVisitor visit) const {
+  core::ExpansionStream out(visit, max_targets);
+  if (!out.open()) return;
   const Point me = nodes_.at(i).zone.center();
   // Hosts within the shortcut radius, nearest first.
   auto& hosts = hosts_scratch_;
@@ -301,10 +302,8 @@ void Overlay::expansion_targets_into(
     if (d <= opts_.shortcut_radius) hosts.emplace_back(d, j);
   }
   std::sort(hosts.begin(), hosts.end());
-  for (const auto& [d, host] : hosts) {
-    if (out.size() >= max_targets) break;
-    out.emplace_back(host, kShortcutEntry);
-  }
+  for (const auto& [d, host] : hosts)
+    if (!out.offer(host, kShortcutEntry)) return;
 }
 
 void Overlay::audit_geometry(dht::NodeIndex i, core::AuditSink& sink) const {

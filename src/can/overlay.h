@@ -99,9 +99,10 @@ class Overlay : public core::ElasticLinks<Overlay, CanNode> {
                                 dht::RouteScratch& scratch) const;
 
   /// ERT shortcut expansion targets: owners within shortcut_radius of our
-  /// center, nearest first, as kShortcutEntry adopters.
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<core::ExpansionTarget>& out) const;
+  /// center, nearest first, as kShortcutEntry adopters. Streams up to
+  /// `max_targets` to `visit`.
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 core::ExpansionVisitor visit) const;
 
   /// Shortcuts may point at any other zone that is not already adjacent.
   bool eligible(dht::NodeIndex owner, std::size_t slot,

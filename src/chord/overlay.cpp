@@ -95,32 +95,31 @@ void Overlay::build_table(dht::NodeIndex i) {
   n.table_built = true;
 }
 
-void Overlay::expansion_targets_into(
-    dht::NodeIndex i, std::size_t max_targets,
-    std::vector<core::ExpansionTarget>& out) const {
-  out.clear();
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        core::ExpansionVisitor visit) const {
+  core::ExpansionStream out(visit, max_targets);
+  if (!out.open()) return;
   const ChordNode& me = nodes_.at(i);
   stamp_inlinks(i);
-  for (int m = opts_.bits - 1; m >= 0 && out.size() < max_targets; --m) {
+  for (int m = opts_.bits - 1; m >= 0; --m) {
     // Hosts j with succ(j + 2^m) near i: j in the predecessors of i - 2^m.
     const std::uint64_t base =
         (me.id - (std::uint64_t{1} << m)) & (ring_size() - 1);
     directory_.predecessors_of((base + 1) & (ring_size() - 1),
                                opts_.finger_spread, ids_scratch_);
     for (const std::uint64_t id : ids_scratch_) {
-      if (out.size() >= max_targets) break;
       const dht::NodeIndex host = *directory_.owner_of(id);
       if (host == i || stamped(host)) continue;
-      out.emplace_back(host, static_cast<std::size_t>(m));
+      if (!out.offer(host, static_cast<std::size_t>(m))) return;
     }
   }
   // Predecessors can adopt us into their successor lists.
   directory_.predecessors_of(me.id, opts_.successor_list, ids_scratch_);
   for (const std::uint64_t id : ids_scratch_) {
-    if (out.size() >= max_targets) break;
     const dht::NodeIndex host = *directory_.owner_of(id);
     if (host == i || stamped(host)) continue;
-    out.emplace_back(host, successor_entry());
+    if (!out.offer(host, successor_entry())) return;
   }
 }
 

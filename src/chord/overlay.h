@@ -78,9 +78,9 @@ class Overlay : public core::ElasticLinks<Overlay, ChordNode> {
 
   /// Hosts that could adopt `i` into a finger slot: for each m, the
   /// predecessors of (i - 2^m) within the spread window, plus predecessors
-  /// for the successor-list slot. Writes up to `max_targets` into `out`.
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<core::ExpansionTarget>& out) const;
+  /// for the successor-list slot. Streams up to `max_targets` to `visit`.
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 core::ExpansionVisitor visit) const;
 
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;

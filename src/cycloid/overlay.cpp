@@ -309,35 +309,35 @@ void Overlay::build_table(dht::NodeIndex i, Rng& rng) {
   // candidate in a slot the newcomer fits adopt it — keeps sparse and
   // churned networks routable (Cycloid's stabilization). Hosts that have
   // not built yet are skipped so genesis builds see virgin entries.
-  expansion_targets_into(i, 64, targets_scratch_);
-  for (const auto& [host, slot] : targets_scratch_) {
+  for_each_expansion_target(i, 64, [&](dht::NodeIndex host,
+                                       std::size_t slot) {
     if (nodes_[host].table_built && !has_live_candidate(host, slot))
       link(host, slot, i, false);
-  }
+    return true;
+  });
 }
 
-void Overlay::expansion_targets_into(
-    dht::NodeIndex i, std::size_t max_targets,
-    std::vector<core::ExpansionTarget>& out) const {
-  out.clear();
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        core::ExpansionVisitor visit) const {
+  core::ExpansionStream out(visit, max_targets);
+  if (!out.open()) return;
   const OverlayNode& me = nodes_.at(i);
   const int k = me.id.k;
   stamp_inlinks(i);
-  // Accepts one host; returns false once `out` is full so streaming scans
-  // stop instead of materializing whole cyclic classes (thousands of nodes
-  // at 2^17) to then keep ~20.
-  auto try_push = [&](dht::NodeIndex h, std::size_t slot) {
-    if (out.size() >= max_targets) return false;
-    if (h == i || !nodes_[h].alive) return true;
+  // Offers one host; returns false once the walk must stop, so the scans
+  // below end at the first target that suffices instead of walking whole
+  // cyclic classes (thousands of nodes at 2^17).
+  auto offer = [&](dht::NodeIndex h, std::size_t slot) {
     // Algorithm 1 skips ids already among the backward fingers.
-    if (stamped(h)) return true;
-    out.emplace_back(h, slot);
-    return true;
+    if (h == i || stamped(h) || !nodes_[h].alive) return true;
+    return out.offer(h, slot);
   };
-  auto push_hosts = [&](const std::vector<dht::NodeIndex>& hosts,
-                        std::size_t slot) {
+  auto offer_all = [&](const std::vector<dht::NodeIndex>& hosts,
+                       std::size_t slot) {
     for (dht::NodeIndex h : hosts)
-      if (!try_push(h, slot)) return;
+      if (!offer(h, slot)) return false;
+    return true;
   };
   if (k + 1 < space_.dimension()) {
     const dht::RingDirectory& dir =
@@ -349,29 +349,30 @@ void Overlay::expansion_targets_into(
     const std::uint64_t cub_base =
         flip_bit(me.id.a, k + 1) & ~low_mask(k + 1);
     dir.for_each_in_range_until(
-        cub_base, cub_base + span,
-        [&](std::uint64_t, dht::NodeIndex h) {
-          return try_push(h, kCubicalEntry);
+        cub_base, cub_base + span, [&](std::uint64_t, dht::NodeIndex h) {
+          return offer(h, kCubicalEntry);
         });
+    if (!out.open()) return;
     // Hosts (k+1, ...) whose cyclic entry we satisfy: bits >= k+1 match
     // (same-cycle hosts excluded).
     const std::uint64_t cyc_base = me.id.a & ~low_mask(k + 1);
     dir.for_each_in_range_until(
         cyc_base, cyc_base + span, [&](std::uint64_t, dht::NodeIndex h) {
           if (nodes_[h].id.a == me.id.a) return true;
-          return try_push(h, kCyclicEntry);
+          return offer(h, kCyclicEntry);
         });
+    if (!out.open()) return;
   }
   // Successor/predecessor probing (assumed by Theorem 3.3): same-cycle
   // members can take us into their inside leaf sets, adjacent cycles into
   // their outside leaf sets.
   cycle_members(me.id.a, members_scratch_);
   std::erase(members_scratch_, i);
-  push_hosts(members_scratch_, kInsideLeafEntry);
+  if (!offer_all(members_scratch_, kInsideLeafEntry)) return;
   nearby_cycles(me.id.a, 1, cycles_scratch_);
   for (std::uint64_t cyc : cycles_scratch_) {
     cycle_members(cyc, members_scratch_);
-    push_hosts(members_scratch_, kOutsideLeafEntry);
+    if (!offer_all(members_scratch_, kOutsideLeafEntry)) return;
   }
 }
 
@@ -443,11 +444,9 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
              cn.table.entry(slot).candidates(arena().cands))
           if (nodes_[c].id.k > cid.k) cands.push_back(c);
         if (cands.empty()) continue;
-        dht::stable_insertion_sort(cands.begin(), cands.end(),
-                                   [&](dht::NodeIndex x, dht::NodeIndex y) {
-                                     return std::abs(nodes_[x].id.k - h) <
-                                            std::abs(nodes_[y].id.k - h);
-                                   });
+        dht::stable_sort_by_key(cands, scratch.ranked, [&](dht::NodeIndex c) {
+          return std::abs(nodes_[c].id.k - h);
+        });
         step.entry_index = slot;
         return step;
       }
@@ -459,11 +458,9 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
     auto by_cycle_distance = [&](std::size_t slot) {
       const auto src = cn.table.entry(slot).candidates(arena().cands);
       cands.assign(src.begin(), src.end());
-      dht::stable_insertion_sort(
-          cands.begin(), cands.end(), [&](dht::NodeIndex x, dht::NodeIndex y) {
-            return space_.cycle_distance(nodes_[x].id.a, oid.a) <
-                   space_.cycle_distance(nodes_[y].id.a, oid.a);
-          });
+      dht::stable_sort_by_key(cands, scratch.ranked, [&](dht::NodeIndex c) {
+        return space_.cycle_distance(nodes_[c].id.a, oid.a);
+      });
       step.entry_index = slot;
     };
     if (h >= 0 && cid.k >= 1 && cid.k == h &&
@@ -520,8 +517,9 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
   // Ranks are computed in a single pass: each slot's qualifying candidates
   // land in a contiguous segment of scratch.ranked (entry order preserved),
   // the globally best slot is tracked on the fly, and only its segment is
-  // sorted. Same comparisons in the same order as the two-pass form, so
-  // the chosen slot and candidate order are bit-identical.
+  // sorted. An entry holds each node once, so the (rank, node) pairs are
+  // distinct and any sort yields the one order a stable sort by rank with
+  // node tie-break would.
   const bool in_owner_cycle = cid.a == oid.a;
   auto usable = [&](dht::NodeIndex c) {
     return !in_owner_cycle || nodes_[c].id.a == oid.a;
@@ -554,8 +552,7 @@ dht::RouteStepInfo Overlay::route_step(dht::NodeIndex cur, std::uint64_t key,
           ranked.begin() + static_cast<std::ptrdiff_t>(seg[best_slot]);
       const auto last =
           ranked.begin() + static_cast<std::ptrdiff_t>(seg[best_slot + 1]);
-      dht::stable_insertion_sort(
-          first, last, [](const auto& a, const auto& b) { return a < b; });
+      std::sort(first, last);
       step.entry_index = best_slot;
       for (auto it = first; it != last; ++it) cands.push_back(it->second);
       return step;

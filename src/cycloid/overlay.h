@@ -138,10 +138,11 @@ class Overlay : public core::ElasticLinks<Overlay, OverlayNode> {
 
   // --- elasticity geometry ----------------------------------------------------
 
-  /// Enumerates up to `max_targets` (host, slot) pairs that could take `i`
-  /// as a routing-table neighbor, nearest hosts first, into `out`.
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<core::ExpansionTarget>& out) const;
+  /// Streams up to `max_targets` (host, slot) pairs that could take `i` as
+  /// a routing-table neighbor to `visit`, in Algorithm 1's order: cubical
+  /// hosts, cyclic hosts, then leaf-set hosts.
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 core::ExpansionVisitor visit) const;
 
   /// True iff `cand` may legally sit in entry `slot` of `owner`.
   bool eligible(dht::NodeIndex owner, std::size_t slot,

@@ -70,21 +70,20 @@ void Overlay::build_table(dht::NodeIndex i) {
   n.table_built = true;
 }
 
-void Overlay::expansion_targets_into(
-    dht::NodeIndex i, std::size_t max_targets,
-    std::vector<core::ExpansionTarget>& out) const {
-  out.clear();
-  if (max_targets == 0) return;
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        core::ExpansionVisitor visit) const {
+  core::ExpansionStream out(visit, max_targets);
+  if (!out.open()) return;
   const D1htNode& me = nodes_.at(i);
   stamp_inlinks(i);
   // Ring predecessors within the spread window can adopt us into their
   // successor entries.
   directory_.predecessors_of(me.id, opts_.successor_spread, ids_scratch_);
   for (const std::uint64_t id : ids_scratch_) {
-    if (out.size() >= max_targets) break;
     const dht::NodeIndex host = *directory_.owner_of(id);
     if (host == i || stamped(host)) continue;
-    out.emplace_back(host, kSuccessorEntry);
+    if (!out.offer(host, kSuccessorEntry)) return;
   }
 }
 

@@ -72,9 +72,10 @@ class Overlay : public core::ElasticLinks<Overlay, D1htNode> {
                                         std::uint64_t key) const;
 
   /// Hosts that could adopt `i` into their successor entry: i's ring
-  /// predecessors within the spread window.
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<core::ExpansionTarget>& out) const;
+  /// predecessors within the spread window. Streams up to `max_targets`
+  /// to `visit`.
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 core::ExpansionVisitor visit) const;
 
   /// Elastic links go to the successor entry only; the full mesh never
   /// goes through link/unlink.

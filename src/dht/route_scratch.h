@@ -19,6 +19,7 @@
 //    engines are per-seed single-threaded, so each engine owns one.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -62,6 +63,24 @@ void stable_insertion_sort(It first, It last, Comp comp) {
     }
     *j = std::move(v);
   }
+}
+
+/// Stable sort of a candidate list by an integer key below 2^32, computing
+/// each candidate's key once: the (key, position) pairs packed into
+/// `ranked` are distinct, so an ordinary sort of them reproduces exactly
+/// the stable permutation, in O(k log k) where the insertion sort takes
+/// O(k^2) comparisons and key evaluations on the wide entries Algorithm 3
+/// grows.
+template <typename KeyFn>
+void stable_sort_by_key(
+    std::vector<NodeIndex>& cands,
+    std::vector<std::pair<std::uint64_t, NodeIndex>>& ranked, KeyFn key) {
+  ranked.clear();
+  for (std::size_t p = 0; p < cands.size(); ++p)
+    ranked.emplace_back(static_cast<std::uint64_t>(key(cands[p])) << 32 | p,
+                        cands[p]);
+  std::sort(ranked.begin(), ranked.end());
+  for (std::size_t p = 0; p < cands.size(); ++p) cands[p] = ranked[p].second;
 }
 
 }  // namespace ert::dht

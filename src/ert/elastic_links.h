@@ -13,12 +13,16 @@
 // link/unlink/expand/shed/purge and the per-node structural audit — and a
 // substrate supplies only its geometry through static (CRTP) hooks:
 //
-//   required  eligible(owner, slot, cand)       may cand sit in owner's slot?
-//             expansion_targets_into(i, k, out) up to k (host, slot) pairs
-//                                               that could adopt i
-//             logical_distance(a, b)            for the default finger metric
-//             erase_member(i)                   leaves the directory (runs
-//                                               once i is marked dead)
+//   required  eligible(owner, slot, cand)   may cand sit in owner's slot?
+//             for_each_expansion_target(i, k, visit)
+//                                           streams up to k (host, slot)
+//                                           pairs that could adopt i, in
+//                                           probe order, to visit(host,
+//                                           slot); stops once visit returns
+//                                           false (see ExpansionStream)
+//             logical_distance(a, b)        for the default finger metric
+//             erase_member(i)               leaves the directory (runs once
+//                                           i is marked dead)
 //   optional  kFirstElasticSlot      slots below it are mandatory symmetric
 //                                    structure (CAN adjacency, the D1HT full
 //                                    mesh): not budgeted, no backward fingers
@@ -33,6 +37,13 @@
 //             audit_geometry(i, sink) per-node geometry.<sub>.* checks
 //             audit_network_geometry(sink) whole-network ones, O(n)
 //
+// expand_indegree links each target as it streams in, so the enumerator
+// runs while link() does. link() reaches the geometry only through
+// eligible() and make_room(), which therefore write only their own
+// scratch (Chord/Pastry/D1HT elig_scratch_, Cycloid elig_cycles_), never a
+// buffer an enumerator is walking; and link() changes nothing an
+// enumerator reads (the directory, liveness, the stamp taken up front).
+//
 // The template's members are defined in elastic_links_impl.h and
 // instantiated explicitly once per overlay, next to its hooks.
 #pragma once
@@ -41,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,8 +83,48 @@ struct ElasticNode {
   BackwardFingerList inlinks;
 };
 
-/// (host node, entry slot) pair the expansion algorithm may probe.
-using ExpansionTarget = std::pair<dht::NodeIndex, std::size_t>;
+/// Non-owning reference to an expansion visitor, bool(host, slot): true
+/// keeps the walk going. Two pointers, so handing an enumerator a
+/// capturing lambda never allocates (std::function may). The callable must
+/// outlive the call it is passed to.
+class ExpansionVisitor {
+ public:
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<
+                            std::decay_t<F>, ExpansionVisitor>>>
+  ExpansionVisitor(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* o, dht::NodeIndex host, std::size_t slot) {
+          return static_cast<bool>(
+              (*static_cast<std::remove_reference_t<F>*>(o))(host, slot));
+        }) {}
+
+  bool operator()(dht::NodeIndex host, std::size_t slot) const {
+    return call_(obj_, host, slot);
+  }
+
+ private:
+  void* obj_;
+  bool (*call_)(void*, dht::NodeIndex, std::size_t);
+};
+
+/// The enumerator's side of for_each_expansion_target: offers (host, slot)
+/// pairs to the visitor, at most `max` of them. offer() returns false once
+/// the walk must stop, because the visitor declined or the cap is reached;
+/// a closed stream passes nothing on.
+class ExpansionStream {
+ public:
+  ExpansionStream(ExpansionVisitor visit, std::size_t max)
+      : visit_(visit), left_(max) {}
+  bool open() const { return left_ > 0; }
+  bool offer(dht::NodeIndex host, std::size_t slot) {
+    if (open()) left_ = visit_(host, slot) ? left_ - 1 : 0;
+    return open();
+  }
+
+ private:
+  ExpansionVisitor visit_;
+  std::size_t left_;
+};
 
 template <typename Derived, typename Node>
 class ElasticLinks {
@@ -90,9 +142,9 @@ class ElasticLinks {
   bool unlink(dht::NodeIndex from, dht::NodeIndex to);
 
   /// Indegree expansion (join step 2 / adaptation growth, Algorithm 1):
-  /// probes the geometry's reverse neighbours until `want` new inlinks are
-  /// gained or `max_probes` targets are exhausted. Returns the number
-  /// gained.
+  /// probes the geometry's reverse neighbours as they stream in, until
+  /// `want` new inlinks are gained, `i`'s budget is full, or `max_probes`
+  /// targets were offered. Returns the number gained.
   int expand_indegree(dht::NodeIndex i, int want, std::size_t max_probes);
 
   /// Sheds up to `count` inlinks, evicting the backward fingers with the
@@ -185,8 +237,6 @@ class ElasticLinks {
 
   std::vector<Node> nodes_;
   PhysDistFn phys_dist_;
-  /// Expansion-target scratch, free between expand/build calls.
-  std::vector<ExpansionTarget> targets_scratch_;
 
  private:
   Derived& self() { return static_cast<Derived&>(*this); }
@@ -206,7 +256,7 @@ class ElasticLinks {
   LinkArena arena_;
   mutable dht::StampSet inlink_seen_;
   // Warm eviction scratch so steady-state sheds allocate nothing.
-  std::vector<BackwardFinger> evict_scratch_;
+  std::vector<std::uint32_t> evict_scratch_;
   std::vector<dht::NodeIndex> evict_out_;
 };
 

@@ -99,20 +99,20 @@ template <typename D, typename N>
 int ElasticLinks<D, N>::expand_indegree(dht::NodeIndex i, int want,
                                         std::size_t max_probes) {
   if (want <= 0) return 0;
+  if (!nodes_[i].budget.can_accept()) return 0;
   int gained = 0;
-  self().expansion_targets_into(i, max_probes, targets_scratch_);
-  for (const auto& [host, slot] : targets_scratch_) {
-    if (gained >= want) break;
-    if (!nodes_[i].budget.can_accept()) break;
-    if (!link(host, slot, i, /*respect_budget=*/true)) continue;
-    ++gained;
-    const std::size_t indeg = nodes_[i].inlinks.size();
-    if (trace_ && trace_->wants(trace::Category::kLink))
-      trace_->emit(trace::EventType::kLinkAdopt, i, 0,
-                   static_cast<std::int64_t>(host),
-                   static_cast<std::int64_t>(indeg));
-    if (meter_) meter_->on_backward_add(i, host, indeg);
-  }
+  self().for_each_expansion_target(
+      i, max_probes, [&](dht::NodeIndex host, std::size_t slot) {
+        if (!link(host, slot, i, /*respect_budget=*/true)) return true;
+        ++gained;
+        const std::size_t indeg = nodes_[i].inlinks.size();
+        if (trace_ && trace_->wants(trace::Category::kLink))
+          trace_->emit(trace::EventType::kLinkAdopt, i, 0,
+                       static_cast<std::int64_t>(host),
+                       static_cast<std::int64_t>(indeg));
+        if (meter_) meter_->on_backward_add(i, host, indeg);
+        return gained < want && nodes_[i].budget.can_accept();
+      });
   return gained;
 }
 

@@ -99,7 +99,10 @@ using FingerPool = dht::Slab<BackwardFinger>;
 
 class BackwardFingerList {
  public:
-  bool add(FingerPool& pool, BackwardFinger f);
+  /// Appends `f`. Precondition: `f.node` is not in the list yet; the one
+  /// caller, ElasticLinks::link, has already checked that before it touched
+  /// the host's table, so the list is scanned once per link, not twice.
+  void add(FingerPool& pool, BackwardFinger f) { pool.push(ref_, f); }
   bool remove(FingerPool& pool, dht::NodeIndex n);
   bool contains(const FingerPool& pool, dht::NodeIndex n) const;
 
@@ -109,12 +112,15 @@ class BackwardFingerList {
     return pool.view(ref_);
   }
 
-  /// Picks up to k fingers to shed: longest logical distance first, ties by
-  /// longest physical distance. Writes node indices in eviction order into
-  /// `out` (cleared first); `scratch` is sort space. Both are caller-owned
+  /// Picks up to k fingers to shed, in one total order: longest logical
+  /// distance first, then longest physical distance, then earliest
+  /// position in the list. A selection, not a sort: a max-scan for k = 1,
+  /// otherwise nth_element and a sort of the k-prefix, so one call costs
+  /// O(size + k log k). Writes node indices in eviction order into `out`
+  /// (cleared first); `scratch` holds list positions. Both are caller-owned
   /// so steady-state adaptation reuses warm capacity.
   void pick_evictions(const FingerPool& pool, std::size_t k,
-                      std::vector<BackwardFinger>& scratch,
+                      std::vector<std::uint32_t>& scratch,
                       std::vector<dht::NodeIndex>& out) const;
 
   /// Returns the finger block to the pool (node teardown).

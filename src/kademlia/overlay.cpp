@@ -157,24 +157,23 @@ void Overlay::build_table(dht::NodeIndex i, Rng& rng) {
   n.table_built = true;
 }
 
-void Overlay::expansion_targets_into(
-    dht::NodeIndex i, std::size_t max_targets,
-    std::vector<core::ExpansionTarget>& out) const {
-  out.clear();
-  if (max_targets == 0) return;
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        core::ExpansionVisitor visit) const {
+  core::ExpansionStream out(visit, max_targets);
+  if (!out.open()) return;
   const KademliaNode& me = nodes_.at(i);
   stamp_inlinks(i);
   // msb-of-XOR is symmetric: an occupant of my bucket-m interval has me in
   // *its* bucket m. Closest levels first — for those hosts my level is
   // their low, sparse bucket, the likeliest to have room.
-  for (int m = 0; m < opts_.bits && out.size() < max_targets; ++m) {
+  for (int m = 0; m < opts_.bits && out.open(); ++m) {
     const std::uint64_t len = std::uint64_t{1} << m;
     const std::uint64_t base = bucket_base(me.id, m);
     directory_.for_each_in_range_until(
         base, base + len, [&](std::uint64_t, dht::NodeIndex host) {
-          if (host != i && !stamped(host))
-            out.emplace_back(host, static_cast<std::size_t>(m));
-          return out.size() < max_targets;
+          if (host == i || stamped(host)) return true;
+          return out.offer(host, static_cast<std::size_t>(m));
         });
   }
 }

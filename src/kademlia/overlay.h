@@ -88,9 +88,9 @@ class Overlay : public core::ElasticLinks<Overlay, KademliaNode> {
 
   /// Hosts that could adopt `i` as an extra bucket contact: the occupants
   /// of i's bucket intervals, closest levels first (their low buckets are
-  /// the sparse ones with room). Writes up to `max_targets` into `out`.
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<core::ExpansionTarget>& out) const;
+  /// the sparse ones with room). Streams up to `max_targets` to `visit`.
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 core::ExpansionVisitor visit) const;
 
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;

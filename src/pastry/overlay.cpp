@@ -115,41 +115,38 @@ void Overlay::build_table(dht::NodeIndex i) {
   n.table_built = true;
 }
 
-void Overlay::expansion_targets_into(
-    dht::NodeIndex i, std::size_t max_targets,
-    std::vector<core::ExpansionTarget>& out) const {
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        core::ExpansionVisitor visit) const {
   // Hosts sharing exactly r digits with us can adopt us at row r (their
   // digit r differs from ours by construction). Walk r from deep prefixes
   // (nearby hosts) to shallow.
-  out.clear();
+  core::ExpansionStream out(visit, max_targets);
   const PastryNode& me = nodes_.at(i);
   stamp_inlinks(i);
-  for (int r = opts_.rows - 1; r >= 0 && out.size() < max_targets; --r) {
+  for (int r = opts_.rows - 1; r >= 0 && out.open(); --r) {
     const int shift = id_bits() - r * opts_.bits_per_digit;
     const std::uint64_t prefix =
         shift >= id_bits() ? 0 : me.id & ~low_mask(shift);
     const std::uint64_t block = std::uint64_t{1} << shift;
     directory_.for_each_in_range_until(
         prefix, prefix + block, [&](std::uint64_t id, dht::NodeIndex host) {
-          if (out.size() >= max_targets) return false;
           if (host == i || stamped(host)) return true;
           if (shared_digits(me.id, id) != r) return true;  // diverge at r
-          out.emplace_back(host, prefix_slot(r, digit_of(me.id, r)));
-          return true;
+          return out.offer(host, prefix_slot(r, digit_of(me.id, r)));
         });
   }
   // Ring neighbors can adopt us into their leaf sets.
+  if (!out.open()) return;
   directory_.successors_of(me.id, opts_.leaf_half, ids_scratch_);
   for (const std::uint64_t id : ids_scratch_) {
-    if (out.size() >= max_targets) break;
     const dht::NodeIndex host = *directory_.owner_of(id);
-    if (!stamped(host)) out.emplace_back(host, leaf_entry());
+    if (!stamped(host) && !out.offer(host, leaf_entry())) return;
   }
   directory_.predecessors_of(me.id, opts_.leaf_half, ids_scratch_);
   for (const std::uint64_t id : ids_scratch_) {
-    if (out.size() >= max_targets) break;
     const dht::NodeIndex host = *directory_.owner_of(id);
-    if (!stamped(host)) out.emplace_back(host, leaf_entry());
+    if (!stamped(host) && !out.offer(host, leaf_entry())) return;
   }
 }
 

@@ -73,9 +73,9 @@ class Overlay : public core::ElasticLinks<Overlay, PastryNode> {
 
   /// Hosts that could adopt `i`: those sharing exactly r digits with it
   /// (at row r, deep prefixes first), then its ring neighbours (leaf set).
-  /// Writes up to `max_targets` into `out`.
-  void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                              std::vector<core::ExpansionTarget>& out) const;
+  /// Streams up to `max_targets` to `visit`.
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 core::ExpansionVisitor visit) const;
 
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;

@@ -71,6 +71,25 @@ TEST(CycloidOverlay, LinkSymmetryInvariant) {
   }
 }
 
+TEST(CycloidOverlay, LinkRefusesASecondRoleForTheSamePair) {
+  // The backward-finger list takes no duplicate check of its own: link()
+  // refuses an ordered pair that is already linked, in any slot, before it
+  // touches the host's table.
+  Overlay o = full_overlay(6);
+  for (NodeIndex i = 0; i < o.num_slots(); ++i) {
+    const auto& fingers = o.node(i).inlinks.fingers(o.arena().fingers);
+    if (fingers.empty()) continue;
+    const NodeIndex host = fingers.front().node;
+    const std::size_t indegree = o.node(i).inlinks.size();
+    for (std::size_t slot = 0; slot < kNumEntries; ++slot)
+      EXPECT_FALSE(o.link(host, slot, i, /*respect_budget=*/false));
+    EXPECT_EQ(o.node(i).inlinks.size(), indegree);
+    EXPECT_EQ(o.node(i).budget.indegree(), static_cast<int>(indegree));
+    return;
+  }
+  FAIL() << "no node has an inlink";
+}
+
 TEST(CycloidOverlay, ResponsibleIsSuccessor) {
   Overlay o = full_overlay(6);
   // Full network: every id occupied, so every key maps to its exact node.

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace ert::core {
 namespace {
 
@@ -59,9 +66,10 @@ TEST(IndegreeBudget, LostInlinksAreCountedOnlyWhenRemoved) {
 TEST(BackwardFingerList, AddRemoveContains) {
   FingerPool pool;
   BackwardFingerList l;
-  EXPECT_TRUE(l.add(pool, {1, 100, 0.5}));
-  EXPECT_FALSE(l.add(pool, {1, 100, 0.5}));  // duplicate node
-  EXPECT_TRUE(l.add(pool, {2, 50, 0.1}));
+  EXPECT_FALSE(l.contains(pool, 1));
+  l.add(pool, {1, 100, 0.5});
+  EXPECT_TRUE(l.contains(pool, 1));
+  l.add(pool, {2, 50, 0.1});
   EXPECT_EQ(l.size(), 2u);
   EXPECT_TRUE(l.contains(pool, 1));
   EXPECT_TRUE(l.remove(pool, 1));
@@ -76,7 +84,7 @@ TEST(BackwardFingerList, EvictionOrderLogicalThenPhysical) {
   l.add(pool, {2, 300, 0.2});
   l.add(pool, {3, 300, 0.9});  // same logical as 2, farther physically
   l.add(pool, {4, 50, 0.5});
-  std::vector<BackwardFinger> scratch;
+  std::vector<std::uint32_t> scratch;
   std::vector<dht::NodeIndex> ev;
   l.pick_evictions(pool, 3, scratch, ev);
   ASSERT_EQ(ev.size(), 3u);
@@ -89,12 +97,60 @@ TEST(BackwardFingerList, EvictionsClampToSize) {
   FingerPool pool;
   BackwardFingerList l;
   l.add(pool, {1, 10, 0.0});
-  std::vector<BackwardFinger> scratch;
+  std::vector<std::uint32_t> scratch;
   std::vector<dht::NodeIndex> ev;
   l.pick_evictions(pool, 5, scratch, ev);
   EXPECT_EQ(ev.size(), 1u);
   l.pick_evictions(pool, 0, scratch, ev);
   EXPECT_EQ(ev.size(), 0u);
+}
+
+/// The shed order of Sec. 3.3 made total: longest logical distance, then
+/// longest physical distance, then earliest position in the list. A stable
+/// sort by the two distances states it directly.
+std::vector<dht::NodeIndex> reference_evictions(
+    std::span<const BackwardFinger> fingers, std::size_t k) {
+  std::vector<BackwardFinger> v(fingers.begin(), fingers.end());
+  std::stable_sort(v.begin(), v.end(),
+                   [](const BackwardFinger& a, const BackwardFinger& b) {
+                     if (a.logical_distance != b.logical_distance)
+                       return a.logical_distance > b.logical_distance;
+                     return a.physical_distance > b.physical_distance;
+                   });
+  std::vector<dht::NodeIndex> out;
+  for (std::size_t p = 0; p < std::min(k, v.size()); ++p)
+    out.push_back(v[p].node);
+  return out;
+}
+
+TEST(BackwardFingerList, EvictionsMatchAStableSortReference) {
+  Rng rng(29);
+  FingerPool pool;
+  std::vector<std::uint32_t> scratch;
+  std::vector<dht::NodeIndex> ev;
+  std::vector<dht::NodeIndex> ids(64);
+  for (dht::NodeIndex n = 0; n < ids.size(); ++n) ids[n] = n;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Shuffled node ids, so a tie broken by node index instead of list
+    // position would show; three logical and two physical values force
+    // ties in both keys.
+    rng.shuffle(ids);
+    const std::size_t size = 1 + rng.index(ids.size());
+    BackwardFingerList l;
+    for (std::size_t p = 0; p < size; ++p)
+      l.add(pool, {ids[p], static_cast<std::uint64_t>(rng.index(3)),
+                   0.25 * static_cast<double>(rng.index(2))});
+    // Erasing shifts later fingers down a position.
+    if (size > 2 && rng.index(2) == 0) l.remove(pool, ids[rng.index(size)]);
+    const std::size_t n = l.size();
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}, n, n + 1}) {
+      l.pick_evictions(pool, k, scratch, ev);
+      EXPECT_EQ(ev, reference_evictions(l.fingers(pool), k))
+          << "trial " << trial << " size " << n << " k " << k;
+    }
+    l.clear(pool);
+  }
 }
 
 TEST(BackwardFingerList, Clear) {

@@ -125,15 +125,17 @@ TEST(Pastry, ExpansionRaisesIndegree) {
 TEST(Pastry, ExpansionTargetsDivergeAtClaimedRow) {
   Overlay o = make(300, 8);
   const NodeIndex i = 20;
-  std::vector<core::ExpansionTarget> targets;
-  o.expansion_targets_into(i, 128, targets);
-  for (const auto& [host, slot] : targets) {
-    if (slot == o.leaf_entry()) continue;
+  std::size_t prefix_targets = 0;
+  o.for_each_expansion_target(i, 128, [&](NodeIndex host, std::size_t slot) {
+    if (slot == o.leaf_entry()) return true;
+    ++prefix_targets;
     const int row = static_cast<int>(slot) / o.base();
     const int col = static_cast<int>(slot) % o.base();
     EXPECT_EQ(o.shared_digits(o.node(host).id, o.node(i).id), row);
     EXPECT_EQ(o.digit_of(o.node(i).id, row), col);
-  }
+    return true;
+  });
+  EXPECT_GT(prefix_targets, 0u);
 }
 
 TEST(Pastry, ShedIndegree) {

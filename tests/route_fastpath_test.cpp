@@ -263,6 +263,90 @@ TEST(RouteStepEquivalence, Cycloid) {
   }
 }
 
+/// Cycloid's hop ranks each candidate once and sorts (key, position)
+/// pairs. On entries Algorithm 3 has widened, the order must still be the
+/// one a stable sort by the phase's key gives: |k - h| while ascending,
+/// cycle distance to the owner while descending, and (rank, node) in the
+/// walk, whose pairs are distinct.
+TEST(RouteStepOrder, CycloidWideEntriesMatchAStableSortReference) {
+  cycloid::OverlayOptions opts;
+  opts.dimension = 8;
+  cycloid::Overlay o(opts);
+  Rng rng(9);
+  for (int i = 0; i < 1800; ++i) o.add_node_random(rng, 1.0, 1 << 20, 0.8);
+  for (NodeIndex i = 0; i < o.num_slots(); ++i) o.build_table(i, rng);
+  for (NodeIndex i = 0; i < o.num_slots(); ++i) o.expand_indegree(i, 96, 512);
+  std::size_t widest = 0;
+  for (NodeIndex i = 0; i < o.num_slots(); ++i)
+    for (const auto& e : o.node(i).table.entries())
+      widest = std::max(widest, e.size());
+  ASSERT_GE(widest, 100u);
+
+  const auto& space = o.space();
+  dht::RouteScratch scratch;
+  std::size_t wide_steps = 0;
+  Rng pick(21);
+  for (int q = 0; q < 400; ++q) {
+    const std::uint64_t key = pick.bits() % space.size();
+    const NodeIndex owner = o.responsible(key);
+    const cycloid::CycloidId oid = o.node(owner).id;
+    NodeIndex cur = pick.index(o.num_slots());
+    cycloid::RouteCtx ctx;
+    for (int hop = 0; hop < 64; ++hop) {
+      const auto step = o.route_step(cur, key, ctx, scratch);
+      if (step.arrived) break;
+      const std::vector<NodeIndex> got = scratch.candidates;
+      ASSERT_FALSE(got.empty());
+      if (step.entry_index < cycloid::kNumEntries) {
+        const auto span =
+            o.node(cur).table.entry(step.entry_index).candidates(
+                o.arena().cands);
+        if (span.size() >= 100) ++wide_steps;
+        const cycloid::CycloidId cid = o.node(cur).id;
+        std::vector<NodeIndex> want;
+        if (ctx.phase == cycloid::RouteCtx::Phase::kAscend) {
+          const int h = msb_diff(cid.a, oid.a);
+          for (const NodeIndex c : span)
+            if (o.node(c).id.k > cid.k) want.push_back(c);
+          std::stable_sort(want.begin(), want.end(),
+                           [&](NodeIndex x, NodeIndex y) {
+                             return std::abs(o.node(x).id.k - h) <
+                                    std::abs(o.node(y).id.k - h);
+                           });
+          EXPECT_EQ(got, want) << "ascend, query " << q << " hop " << hop;
+        } else if (ctx.phase == cycloid::RouteCtx::Phase::kDescend) {
+          want.assign(span.begin(), span.end());
+          std::stable_sort(want.begin(), want.end(),
+                           [&](NodeIndex x, NodeIndex y) {
+                             return space.cycle_distance(o.node(x).id.a,
+                                                         oid.a) <
+                                    space.cycle_distance(o.node(y).id.a,
+                                                         oid.a);
+                           });
+          EXPECT_EQ(got, want) << "descend, query " << q << " hop " << hop;
+        } else {
+          // The walk ranks live candidates by directory position gap to
+          // the owner; the chosen segment is ascending in (rank, node).
+          const auto& dir = o.directory();
+          const std::size_t owner_pos =
+              dir.position_of(space.to_linear(oid));
+          auto rank = [&](NodeIndex c) {
+            return std::make_pair(
+                dir.position_gap(dir.position_of(space.to_linear(o.node(c).id)),
+                                 owner_pos),
+                c);
+          };
+          for (std::size_t p = 1; p < got.size(); ++p)
+            EXPECT_LT(rank(got[p - 1]), rank(got[p]))
+                << "walk, query " << q << " hop " << hop;
+        }
+      }
+      cur = got.front();
+    }
+  }
+  EXPECT_GT(wide_steps, 0u) << "no hop left through a widened entry";
+}
+
 TEST(RouteStepEquivalence, Chord) {
   chord::ChordOptions opts;
   opts.bits = 14;
